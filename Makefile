@@ -10,7 +10,9 @@ all: check
 # stitch differential pass under the race detector (fast enough for every
 # check run; `race` still covers the whole tree), batch compilation gets a
 # race-enabled Compile/CompileBatch stress run, a fixed-seed differential
-# sweep smoke and a short race-enabled serving run, a race-enabled
+# sweep smoke and a short race-enabled serving run, the bounded-cache churn
+# test under the race detector with two procs (so the shared cache's cap
+# admission races even on a one-vCPU box), a race-enabled
 # automatic-promotion sweep smoke (annotation-stripped programs promoting,
 # guarding and deoptimizing against the reference), a race-enabled
 # call-boundary sweep smoke (call-bearing programs, inlined vs ablated,
@@ -34,6 +36,7 @@ check:
 	$(GO) test -race -short -timeout 180s -run 'TestCompileBatch|TestCompileRaceBatchVsSerial' ./internal/core
 	$(GO) test -short -timeout 120s -run 'TestBatchSweepFixedSeeds' ./internal/testgen
 	$(GO) test -race -short -timeout 180s -run 'TestServeSmall' ./internal/bench
+	GOMAXPROCS=2 $(GO) test -race -count=3 -run TestCacheChurnBounded ./internal/bench
 	$(GO) test -race -short -timeout 180s -run 'TestAutoFixedSeeds' ./internal/testgen
 	$(GO) test -race -short -timeout 180s -run 'TestInlineFixedSeeds' ./internal/testgen
 	$(GO) test -run '^$$' -fuzz FuzzDifferential -fuzztime 10s ./internal/testgen

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 
 	"dyncc/internal/ir"
 )
@@ -152,6 +153,49 @@ func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Resul
 		return true
 	}
 
+	// Reachability state lives in slices indexed by a block's position in
+	// blocks: reach[i] is the condition at the entry of blocks[i], and
+	// edge[predBase[i]+pi] the condition on its pi-th predecessor edge.
+	// succEdge[succBase[i]+ti] is the edge slot that target ti of blocks[i]
+	// feeds (-1 when the target is outside the region), matching duplicate
+	// edges to predecessor slots once rather than every iteration.
+	maxID := 0
+	for _, b := range blocks {
+		maxID = max(maxID, b.ID)
+	}
+	pos := make([]int, maxID+1)
+	predBase := make([]int, len(blocks)+1)
+	succBase := make([]int, len(blocks)+1)
+	for i, b := range blocks {
+		pos[b.ID] = i
+		predBase[i+1] = predBase[i] + len(b.Preds)
+		succBase[i+1] = succBase[i] + len(b.Succs())
+	}
+	succEdge := make([]int, succBase[len(blocks)])
+	for i, b := range blocks {
+		for ti, s := range b.Succs() {
+			slot := -1
+			if inRegion(s) {
+				// Count earlier occurrences of s to align duplicate edges
+				// with predecessor slots.
+				n := 0
+				for _, t := range b.Succs()[:ti] {
+					if t == s {
+						n++
+					}
+				}
+				if p := nthPredIndex(s, b, n); p >= 0 {
+					slot = predBase[pos[s.ID]] + p
+				}
+			}
+			succEdge[succBase[i]+ti] = slot
+		}
+	}
+	entry := slices.Index(blocks, r.Entry)
+	reach := make([]Cond, len(blocks))
+	edge := make([]Cond, predBase[len(blocks)])
+	edgeOf := func(i, pi int) Cond { return edge[predBase[i]+pi] }
+
 	// Interleaved fixpoint: facts only move downward (const→nonconst,
 	// conditions toward weaker), so iteration terminates.
 	maxRounds := 4*len(blocks) + f.NumValues() + 16
@@ -162,29 +206,26 @@ func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Resul
 		changed := false
 
 		// --- Reachability pass (forward, least fixpoint over the region).
-		reach := map[*ir.Block]Cond{}
-		for _, b := range blocks {
-			reach[b] = False()
+		clear(reach)
+		clear(edge)
+		if entry >= 0 {
+			reach[entry] = True()
 		}
-		edge := map[EdgeKey]Cond{}
-		reach[r.Entry] = True()
 		for iter := 0; ; iter++ {
 			rchanged := false
-			for _, b := range blocks {
+			for i, b := range blocks {
 				term := b.Term()
 				if term == nil {
 					continue
 				}
-				// Per-successor occurrence counters align duplicate edges
-				// with predecessor slots.
-				occ := map[*ir.Block]int{}
+				constBr := res.constPredicate(term, isConst) && !reach[i].IsFalse()
 				for ti, s := range term.Targets {
-					if !inRegion(s) {
-						occ[s]++
+					slot := succEdge[succBase[i]+ti]
+					if slot < 0 {
 						continue
 					}
-					ec := reach[b]
-					if res.constPredicate(term, isConst) && !reach[b].IsFalse() {
+					ec := reach[i]
+					if constBr {
 						ec = ec.And(Atom{Block: b, Succ: ti})
 					}
 					// Atoms of branches inside an unrolled loop describe a
@@ -192,17 +233,13 @@ func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Resul
 					// they no longer denote a single fixed value, so strip
 					// them (weakening the condition, which is conservative).
 					ec = stripLeftLoopAtoms(ec, b, s)
-					// Find the predecessor slot for this edge occurrence.
-					slot := nthPredIndex(s, b, occ[s])
-					occ[s]++
-					k := EdgeKey{To: s, PredIdx: slot}
-					if !Equal(edge[k], ec) {
-						edge[k] = ec
+					if !Equal(edge[slot], ec) {
+						edge[slot] = ec
 						rchanged = true
 					}
 				}
 			}
-			for _, b := range blocks {
+			for i, b := range blocks {
 				if b == r.Entry {
 					continue
 				}
@@ -215,10 +252,10 @@ func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Resul
 						nc = nc.Or(True())
 						continue
 					}
-					nc = nc.Or(edge[EdgeKey{To: b, PredIdx: pi}])
+					nc = nc.Or(edgeOf(i, pi))
 				}
-				if !Equal(reach[b], nc) {
-					reach[b] = nc
+				if !Equal(reach[i], nc) {
+					reach[i] = nc
 					rchanged = true
 				}
 			}
@@ -229,11 +266,9 @@ func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Resul
 				return nil, fmt.Errorf("analysis: reachability did not converge")
 			}
 		}
-		res.BlockReach = reach
-		res.EdgeReach = edge
 
 		// --- Constant merges.
-		for _, b := range blocks {
+		for i, b := range blocks {
 			cm := true
 			if loopHead[b] {
 				res.ConstMerge[b] = true
@@ -243,15 +278,13 @@ func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Resul
 				res.ConstMerge[b] = false
 				continue
 			}
-			for i := 0; i < len(b.Preds) && cm; i++ {
-				for j := i + 1; j < len(b.Preds) && cm; j++ {
-					ci := edge[EdgeKey{To: b, PredIdx: i}]
-					cj := edge[EdgeKey{To: b, PredIdx: j}]
-					if !inRegion(b.Preds[i]) || !inRegion(b.Preds[j]) {
+			for pi := 0; pi < len(b.Preds) && cm; pi++ {
+				for pj := pi + 1; pj < len(b.Preds) && cm; pj++ {
+					if !inRegion(b.Preds[pi]) || !inRegion(b.Preds[pj]) {
 						cm = false
 						break
 					}
-					if !Exclusive(ci, cj) {
+					if !Exclusive(edgeOf(i, pi), edgeOf(i, pj)) {
 						cm = false
 					}
 				}
@@ -317,6 +350,19 @@ func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Resul
 
 		if !changed {
 			break
+		}
+	}
+
+	// Publish the final round's conditions.
+	if entry < 0 {
+		res.BlockReach[r.Entry] = True()
+	}
+	for i, b := range blocks {
+		res.BlockReach[b] = reach[i]
+		for ti, s := range b.Succs() {
+			if slot := succEdge[succBase[i]+ti]; slot >= 0 {
+				res.EdgeReach[EdgeKey{To: s, PredIdx: slot - predBase[pos[s.ID]]}] = edge[slot]
+			}
 		}
 	}
 	return res, nil

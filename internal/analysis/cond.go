@@ -7,8 +7,12 @@
 package analysis
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"dyncc/internal/ir"
@@ -74,6 +78,17 @@ func (cj Conj) sortDedup() Conj {
 	return out
 }
 
+// canonical reports whether cj is already sorted, duplicate-free and free
+// of contradictions, so normalization can keep it as it is.
+func (cj Conj) canonical() bool {
+	for i := 1; i < len(cj); i++ {
+		if !atomLess(cj[i-1], cj[i]) || cj[i].Block == cj[i-1].Block {
+			return false
+		}
+	}
+	return true
+}
+
 // contradicts reports whether the conjunction contains two atoms for the
 // same branch with different successors (and is therefore false).
 func (cj Conj) contradicts() bool {
@@ -100,12 +115,48 @@ func (cj1 Conj) subsumes(cj2 Conj) bool {
 	return true
 }
 
-func (cj Conj) key() string {
-	var sb strings.Builder
-	for _, a := range cj {
-		fmt.Fprintf(&sb, "%d:%d;", a.Block.ID, a.Succ)
+// with returns the canonical conjunction cj ∧ a, sharing cj when it
+// already contains a; ok is false when a contradicts an atom of cj.
+func (cj Conj) with(a Atom) (n Conj, ok bool) {
+	i := 0
+	for i < len(cj) && atomLess(cj[i], a) {
+		i++
 	}
-	return sb.String()
+	if i > 0 && cj[i-1].Block == a.Block {
+		return nil, false
+	}
+	if i < len(cj) && cj[i].Block == a.Block {
+		return cj, cj[i].Succ == a.Succ
+	}
+	n = make(Conj, len(cj)+1)
+	copy(n, cj[:i])
+	n[i] = a
+	copy(n[i+1:], cj[i:])
+	return n, true
+}
+
+// compareKeys orders conjunctions as the strings formed by writing each
+// atom as "id:succ;" in decimal would order, without building them: the
+// result depends only on the first atom that differs, because an atom's
+// text ends at its only ';' and so is never a proper prefix of another's.
+// This puts b10 before b2, the order split emits guards in.
+func compareKeys(x, y Conj) int {
+	for i := 0; i < len(x) && i < len(y); i++ {
+		a, b := x[i], y[i]
+		if a.Block.ID == b.Block.ID && a.Succ == b.Succ {
+			continue
+		}
+		var ba, bb [48]byte
+		return bytes.Compare(appendKey(ba[:0], a), appendKey(bb[:0], b))
+	}
+	return cmp.Compare(len(x), len(y))
+}
+
+func appendKey(buf []byte, a Atom) []byte {
+	buf = strconv.AppendInt(buf, int64(a.Block.ID), 10)
+	buf = append(buf, ':')
+	buf = strconv.AppendInt(buf, int64(a.Succ), 10)
+	return append(buf, ';')
 }
 
 // MaxConjs bounds the size of a condition: the paper notes worst-case
@@ -117,13 +168,11 @@ const MaxConjs = 64
 // And conjoins atom a onto every conjunction of c (the transfer function
 // across a constant branch edge).
 func (c Cond) And(a Atom) Cond {
-	var out []Conj
+	out := make([]Conj, 0, len(c.Disj))
 	for _, cj := range c.Disj {
-		n := append(cj.clone(), a).sortDedup()
-		if n.contradicts() {
-			continue
+		if n, ok := cj.with(a); ok {
+			out = append(out, n)
 		}
-		out = append(out, n)
 	}
 	return Cond{Disj: out}.normalize()
 }
@@ -131,27 +180,34 @@ func (c Cond) And(a Atom) Cond {
 // Or disjoins two conditions (the meet at merges), applying the paper's
 // simplification {{A→T,cs},{A→F,cs},ds} → {{cs},ds}.
 func (c Cond) Or(d Cond) Cond {
-	out := append(append([]Conj(nil), c.Disj...), d.Disj...)
+	switch {
+	case c.IsFalse() || d.IsTrue():
+		return d
+	case d.IsFalse() || c.IsTrue() || Equal(c, d):
+		return c
+	}
+	out := make([]Conj, 0, len(c.Disj)+len(d.Disj))
+	out = append(append(out, c.Disj...), d.Disj...)
 	return Cond{Disj: out}.normalize()
 }
 
 // normalize dedups, absorbs subsumed conjunctions, merges complementary
-// pairs, and applies the size cap.
+// pairs, and applies the size cap. It reorders c.Disj in place, so the
+// caller must own that slice; the conjunctions themselves are never
+// written, which lets conditions share them.
 func (c Cond) normalize() Cond {
-	// Dedup.
-	seen := map[string]bool{}
-	var conjs []Conj
+	// Dedup, keeping the first occurrence of each conjunction.
+	conjs := c.Disj[:0]
 	for _, cj := range c.Disj {
-		cj = cj.clone().sortDedup()
-		if cj.contradicts() {
-			continue
+		if !cj.canonical() {
+			cj = cj.clone().sortDedup()
+			if cj.contradicts() {
+				continue
+			}
 		}
-		k := cj.key()
-		if seen[k] {
-			continue
+		if !containsConj(conjs, cj) {
+			conjs = append(conjs, cj)
 		}
-		seen[k] = true
-		conjs = append(conjs, cj)
 	}
 
 	// Iterate complementary-merge + absorption to a fixpoint.
@@ -172,29 +228,22 @@ func (c Cond) normalize() Cond {
 				}
 			}
 		}
-		// Absorption: drop conjunctions subsumed by weaker ones.
-		var kept []Conj
+		// Absorption: drop a conjunction subsumed by a shorter one, or by
+		// an equal earlier one. Whenever a dropped conjunction absorbs
+		// another, so does whatever absorbed it, so it is enough to test
+		// against the kept ones before i (compacted into conjs[:n]) and
+		// every one after i (not yet moved).
+		n := 0
 		for i, cj := range conjs {
-			sub := false
-			for k, other := range conjs {
-				if k == i {
-					continue
-				}
-				if len(other) < len(cj) || (len(other) == len(cj) && k < i) {
-					if other.subsumes(cj) {
-						sub = true
-						break
-					}
-				}
-			}
-			if !sub {
-				kept = append(kept, cj)
+			if !absorbed(cj, conjs[:n], conjs[i+1:]) {
+				conjs[n] = cj
+				n++
 			}
 		}
-		if len(kept) != len(conjs) {
+		if n != len(conjs) {
+			conjs = conjs[:n]
 			changed = true
 		}
-		conjs = kept
 		if !changed {
 			break
 		}
@@ -202,8 +251,36 @@ func (c Cond) normalize() Cond {
 	if len(conjs) > MaxConjs {
 		return True()
 	}
-	sort.Slice(conjs, func(i, j int) bool { return conjs[i].key() < conjs[j].key() })
+	if len(conjs) == 0 {
+		return False()
+	}
+	slices.SortFunc(conjs, compareKeys)
 	return Cond{Disj: conjs}
+}
+
+func containsConj(conjs []Conj, cj Conj) bool {
+	for _, other := range conjs {
+		if slices.Equal(other, cj) {
+			return true
+		}
+	}
+	return false
+}
+
+// absorbed reports whether cj is subsumed by a conjunction of before no
+// longer than it or by a strictly shorter conjunction of after.
+func absorbed(cj Conj, before, after []Conj) bool {
+	for _, other := range before {
+		if len(other) <= len(cj) && other.subsumes(cj) {
+			return true
+		}
+	}
+	for _, other := range after {
+		if len(other) < len(cj) && other.subsumes(cj) {
+			return true
+		}
+	}
+	return false
 }
 
 // complementMerge merges c1 and c2 when they differ in exactly one atom on
@@ -264,13 +341,14 @@ func conjExclusive(c1, c2 Conj) bool {
 	return false
 }
 
-// Equal reports condition equality (canonical forms compared).
+// Equal reports condition equality. Both operands are normalized, so equal
+// conditions have the same conjunctions in the same order.
 func Equal(c, d Cond) bool {
 	if len(c.Disj) != len(d.Disj) {
 		return false
 	}
 	for i := range c.Disj {
-		if c.Disj[i].key() != d.Disj[i].key() {
+		if !slices.Equal(c.Disj[i], d.Disj[i]) {
 			return false
 		}
 	}

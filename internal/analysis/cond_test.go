@@ -1,7 +1,10 @@
 package analysis
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -210,5 +213,281 @@ func TestAndProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The reference implementation below is the original string-keyed
+// canonical form: every conjunction rendered as "id:succ;" text, deduped
+// through a map of those strings and sorted by them. The production code
+// must reproduce its results exactly, element for element, because split
+// emits guards in this order and the Table 2/3 goldens pin it.
+
+func refKey(cj Conj) string {
+	var sb strings.Builder
+	for _, a := range cj {
+		fmt.Fprintf(&sb, "%d:%d;", a.Block.ID, a.Succ)
+	}
+	return sb.String()
+}
+
+func refSortDedup(cj Conj) Conj {
+	sort.Slice(cj, func(i, j int) bool { return atomLess(cj[i], cj[j]) })
+	out := cj[:0]
+	for i, a := range cj {
+		if i > 0 && a == cj[i-1] {
+			continue
+		}
+		out = append(out, a)
+	}
+	return out
+}
+
+func refNormalize(c Cond) Cond {
+	seen := map[string]bool{}
+	var conjs []Conj
+	for _, cj := range c.Disj {
+		cj = refSortDedup(cj.clone())
+		if cj.contradicts() {
+			continue
+		}
+		k := refKey(cj)
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		conjs = append(conjs, cj)
+	}
+	for {
+		changed := false
+	merge:
+		for i := 0; i < len(conjs); i++ {
+			for j := i + 1; j < len(conjs); j++ {
+				if m, ok := complementMerge(conjs[i], conjs[j]); ok {
+					conjs[i] = m
+					conjs = append(conjs[:j], conjs[j+1:]...)
+					changed = true
+					break merge
+				}
+			}
+		}
+		var kept []Conj
+		for i, cj := range conjs {
+			sub := false
+			for k, other := range conjs {
+				if k == i {
+					continue
+				}
+				if len(other) < len(cj) || (len(other) == len(cj) && k < i) {
+					if other.subsumes(cj) {
+						sub = true
+						break
+					}
+				}
+			}
+			if !sub {
+				kept = append(kept, cj)
+			}
+		}
+		if len(kept) != len(conjs) {
+			changed = true
+		}
+		conjs = kept
+		if !changed {
+			break
+		}
+	}
+	if len(conjs) > MaxConjs {
+		return True()
+	}
+	sort.Slice(conjs, func(i, j int) bool { return refKey(conjs[i]) < refKey(conjs[j]) })
+	return Cond{Disj: conjs}
+}
+
+func refAnd(c Cond, a Atom) Cond {
+	var out []Conj
+	for _, cj := range c.Disj {
+		n := refSortDedup(append(cj.clone(), a))
+		if n.contradicts() {
+			continue
+		}
+		out = append(out, n)
+	}
+	return refNormalize(Cond{Disj: out})
+}
+
+func refOr(c, d Cond) Cond {
+	return refNormalize(Cond{Disj: append(append([]Conj(nil), c.Disj...), d.Disj...)})
+}
+
+func refEqual(c, d Cond) bool {
+	if len(c.Disj) != len(d.Disj) {
+		return false
+	}
+	for i := range c.Disj {
+		if refKey(c.Disj[i]) != refKey(d.Disj[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameDisj reports whether c and d hold the same atoms in the same order.
+func sameDisj(c, d Cond) bool {
+	if len(c.Disj) != len(d.Disj) {
+		return false
+	}
+	for i := range c.Disj {
+		if len(c.Disj[i]) != len(d.Disj[i]) {
+			return false
+		}
+		for j := range c.Disj[i] {
+			if c.Disj[i][j] != d.Disj[i][j] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// testMixedBranches builds n branch blocks with IDs 1..n, every third one
+// an n-way switch (three to five successors), the rest two-way branches.
+func testMixedBranches(n int) []*ir.Block {
+	f := ir.NewFunc("mixed", types.FuncType(types.VoidType, nil))
+	end := f.NewBlock()
+	end.Append(&ir.Instr{Op: ir.OpRet})
+	var bs []*ir.Block
+	for i := 0; i < n; i++ {
+		b := f.NewBlock()
+		v := f.NewValue("", types.IntType)
+		b.Append(&ir.Instr{Op: ir.OpConst, Dst: v, Typ: types.IntType})
+		if i%3 == 2 {
+			ways := 3 + i%3
+			in := &ir.Instr{Op: ir.OpSwitch, Args: []ir.Value{v}}
+			for k := 0; k < ways; k++ {
+				if k < ways-1 {
+					in.Cases = append(in.Cases, int64(k))
+				}
+				in.Targets = append(in.Targets, end)
+			}
+			b.Append(in)
+		} else {
+			b.Append(&ir.Instr{Op: ir.OpBr, Args: []ir.Value{v}, Targets: []*ir.Block{end, end}})
+		}
+		bs = append(bs, b)
+	}
+	return bs
+}
+
+func randAtom(r *rand.Rand, bs []*ir.Block) Atom {
+	b := bs[r.Intn(len(bs))]
+	return Atom{Block: b, Succ: r.Intn(len(b.Term().Targets))}
+}
+
+// TestCanonicalFormMatchesReference drives And, Or, normalize and Equal
+// through seeded random sequences over block IDs 1..120 (so decimal and
+// numeric order disagree: b10 sorts before b2) and requires every result
+// to equal the string-keyed reference, conjunction for conjunction.
+func TestCanonicalFormMatchesReference(t *testing.T) {
+	bs := testMixedBranches(120)
+	r := rand.New(rand.NewSource(1996))
+	for trial := 0; trial < 400; trial++ {
+		// A few branches per trial, so merges and absorption fire; an
+		// occasional wide trial to reach the size cap.
+		width := 2 + r.Intn(6)
+		if trial%25 == 0 {
+			width = 40
+		}
+		pool := make([]*ir.Block, width)
+		for i := range pool {
+			pool[i] = bs[r.Intn(len(bs))]
+		}
+		conds := []Cond{True(), False()}
+		for step := 0; step < 40; step++ {
+			x := conds[r.Intn(len(conds))]
+			var got, want Cond
+			var op string
+			switch r.Intn(4) {
+			case 0:
+				a := randAtom(r, pool)
+				op = fmt.Sprintf("%s ∧ %s", x, a)
+				got, want = x.And(a), refAnd(x, a)
+			case 1:
+				y := conds[r.Intn(len(conds))]
+				op = fmt.Sprintf("%s ∨ %s", x, y)
+				got, want = x.Or(y), refOr(x, y)
+			case 2:
+				// A wide disjunction of short conjunctions, Or-ed one at a
+				// time, so the size cap is reached on the wide trials.
+				got, want = x, x
+				for k := 0; k < 1+r.Intn(2*width); k++ {
+					a, b := randAtom(r, pool), randAtom(r, pool)
+					got = got.Or(True().And(a).And(b))
+					want = refOr(want, refAnd(refAnd(True(), a), b))
+				}
+				op = fmt.Sprintf("%s ∨ wide", x)
+			default:
+				// normalize of an arbitrary, non-canonical disjunction:
+				// unsorted, with repeated and contradictory atoms, plus
+				// copies, complements and subsets of earlier conjunctions
+				// so merging, absorption and dedup all fire.
+				var disj []Conj
+				for k := 0; k < 1+r.Intn(6); k++ {
+					var cj Conj
+					if k > 0 && r.Intn(2) == 0 {
+						cj = disj[r.Intn(k)].clone()
+						if len(cj) > 0 {
+							i := r.Intn(len(cj))
+							switch r.Intn(3) {
+							case 0: // flip one outcome
+								cj[i].Succ = r.Intn(len(cj[i].Block.Term().Targets))
+							case 1: // drop one atom
+								cj = append(cj[:i], cj[i+1:]...)
+							}
+						}
+						r.Shuffle(len(cj), func(i, j int) { cj[i], cj[j] = cj[j], cj[i] })
+					} else {
+						for m := 0; m < r.Intn(5); m++ {
+							cj = append(cj, randAtom(r, pool))
+						}
+					}
+					disj = append(disj, cj)
+				}
+				op = fmt.Sprintf("normalize %v", disj)
+				own := make([]Conj, len(disj))
+				copy(own, disj)
+				got, want = Cond{Disj: own}.normalize(), refNormalize(Cond{Disj: disj})
+			}
+			if !sameDisj(got, want) {
+				t.Fatalf("trial %d step %d: %s\n got  %s\n want %s", trial, step, op, got, want)
+			}
+			y := conds[r.Intn(len(conds))]
+			for _, pair := range [][2]Cond{{got, y}, {got, want}, {x, got}} {
+				if Equal(pair[0], pair[1]) != refEqual(pair[0], pair[1]) {
+					t.Fatalf("trial %d step %d: Equal(%s, %s) disagrees with the reference",
+						trial, step, pair[0], pair[1])
+				}
+			}
+			conds = append(conds, got)
+		}
+	}
+}
+
+// Equal, and Or with a False or an equal operand, are on the fixpoint's
+// hot path and must not allocate.
+func TestCondOpsDoNotAllocate(t *testing.T) {
+	bs := testBranches(12)
+	c := True().And(Atom{Block: bs[10], Succ: 0}).Or(True().And(Atom{Block: bs[1], Succ: 1}))
+	d := True().And(Atom{Block: bs[10], Succ: 0}).Or(True().And(Atom{Block: bs[1], Succ: 1}))
+	f := False()
+	for name, op := range map[string]func(){
+		"Equal":      func() { _ = Equal(c, d) },
+		"Or(False)":  func() { _ = c.Or(f) },
+		"False.Or":   func() { _ = f.Or(c) },
+		"Or(equal)":  func() { _ = c.Or(d) },
+		"Or(itself)": func() { _ = c.Or(c) },
+	} {
+		if n := testing.AllocsPerRun(100, op); n != 0 {
+			t.Errorf("%s allocates %.0f times per call", name, n)
+		}
 	}
 }

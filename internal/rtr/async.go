@@ -272,10 +272,11 @@ func (rt *Runtime) runJob(job stitchJob) {
 			c.Restitches++
 		}
 	}
-	if e.gen != rt.gens[job.region].Load() || sh.entries[ck] != e {
-		// Invalidated (or explicitly flushed) while in flight: discard.
-		// Unlike the inline path there are no waiters to serve — fallback
-		// callers never block on the latch.
+	if e.gen != rt.gens[job.region].Load() || sh.entries[ck] != e || !rt.admitLocked(sh, e) {
+		// Invalidated (or explicitly flushed) while in flight, or the full
+		// cache had nothing to evict: discard. Unlike the inline path there
+		// are no waiters to serve — fallback callers never block on the
+		// latch.
 		if sh.entries[ck] == e {
 			delete(sh.entries, ck)
 		}
@@ -283,8 +284,6 @@ func (rt *Runtime) runJob(job stitchJob) {
 		rt.asyncDiscards.Add(1)
 		return
 	}
-	rt.makeRoomLocked(sh, job.region, e.bytes)
-	sh.publishLocked(rt, e)
 	putGen := e.gen // snapshot under the lock; sibling sweeps may refresh it
 	sh.mu.Unlock()
 	rt.storePut(job.region, putGen, job.key, seg)

@@ -56,13 +56,13 @@ type CacheOptions struct {
 	// soon as anything else arrives.
 	MaxCodeBytes int64
 	// MaxEntriesPerRegion bounds the resident shared-cache segments of any
-	// single region (0 = unbounded). Enforcement is best-effort across
-	// shards: a region briefly overshoots while a concurrent publish in
-	// another shard completes.
+	// single region (0 = unbounded). Like MaxEntries it is strict across
+	// shards: admission claims the slot atomically.
 	MaxEntriesPerRegion int
 	// MaxCodeBytesPerRegion bounds the resident code bytes of any single
-	// region (0 = unbounded), with the same best-effort cross-shard
-	// enforcement as MaxEntriesPerRegion.
+	// region (0 = unbounded). Enforcement is best-effort across shards: a
+	// region briefly overshoots while a concurrent publish in another
+	// shard completes.
 	MaxCodeBytesPerRegion int64
 	// MachineMaxEntries bounds each machine's private (level-2) cache
 	// (total segments across regions, 0 = unbounded). Eviction is
@@ -343,18 +343,17 @@ func (rt *Runtime) stitchShared(m *vm.Machine, region int, key string,
 			c.Restitches++
 		}
 	}
-	if e.gen != rt.gens[region].Load() || sh.entries[ck] != e {
+	if e.gen != rt.gens[region].Load() || sh.entries[ck] != e || !rt.admitLocked(sh, e) {
 		// The region was invalidated (or this key explicitly flushed)
-		// while we were stitching: serve the waiters — they began before
-		// the invalidation — but do not retain the segment.
+		// while we were stitching, or the full cache had nothing to evict:
+		// serve the waiters — they began before the invalidation — but do
+		// not retain the segment.
 		if sh.entries[ck] == e {
 			delete(sh.entries, ck)
 		}
 		sh.mu.Unlock()
 		return seg, stats, nil
 	}
-	rt.makeRoomLocked(sh, region, e.bytes)
-	sh.publishLocked(rt, e)
 	putGen := e.gen // snapshot under the lock; sibling sweeps may refresh it
 	sh.mu.Unlock()
 

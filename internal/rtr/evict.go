@@ -7,11 +7,19 @@
 // residentBytes and their per-region slices) so a publishing shard can
 // check the caps without touching any other shard's lock. Room is made
 // *before* a new entry is published: while over a cap, the publishing
-// shard evicts from its own ring; if its ring is empty (the only way a
-// publish cannot restore the bound locally) it steals an eviction from a
-// sibling shard via TryLock, which cannot deadlock. In-flight singleflight
-// entries never join a ring, so they are pinned by construction.
+// shard evicts from its own ring; if its ring is empty it steals an
+// eviction from a sibling shard via TryLock, which cannot deadlock.
+// Admission against the entry caps is atomic: a publisher claims its slot
+// with a compare-and-swap that never takes a count past its cap, so two
+// shards publishing at once cannot both take the last slot, and a
+// publisher that finds nothing to evict leaves its entry uncached. The
+// byte caps are best effort before publish and restored by reclaim after
+// it.
+// In-flight singleflight entries never join a ring, so they are pinned by
+// construction.
 package rtr
+
+import "sync/atomic"
 
 // evictLogSize bounds the per-shard memory of restitch detection: a stitch
 // counts as a re-stitch when its key is among the shard's most recent
@@ -69,22 +77,6 @@ func (l *evictLog) remove(k cacheKey) bool {
 	// removal just shrank it, so any next in [0, evictLogSize) stays valid
 	// by the time the ring refills; no adjustment needed.
 	return true
-}
-
-// publishLocked makes a completed entry resident: it joins the shard's
-// CLOCK ring and the global and per-region resident counters.
-func (sh *shard) publishLocked(rt *Runtime, e *entry) {
-	e.slot = len(sh.ring)
-	sh.ring = append(sh.ring, e)
-	rt.resident.Add(1)
-	rt.residentBytes.Add(e.bytes)
-	// r >= 0: region -1 is a documented segment sentinel; an entry carrying
-	// it must not panic the accounting (it simply isn't tracked per region).
-	if r := e.key.region; r >= 0 && r < len(rt.regionResident) {
-		rt.regionResident[r].Add(1)
-		rt.regionBytes[r].Add(e.bytes)
-	}
-	rt.notePeak()
 }
 
 // dropLocked removes a resident entry without counting an eviction
@@ -149,22 +141,11 @@ func (sh *shard) evictOneLocked(rt *Runtime, region int) bool {
 	return false
 }
 
-// overEntries / overBytes report whether publishing one more entry of
-// `add` bytes would leave the shared cache above a global cap.
-func (rt *Runtime) overEntries() bool {
-	max := rt.Opts.Cache.MaxEntries
-	return max > 0 && rt.resident.Load() >= int64(max)
-}
-
+// overBytes / regionOverBytes report whether publishing one more entry of
+// `add` bytes would leave the shared cache above a code-byte cap.
 func (rt *Runtime) overBytes(add int64) bool {
 	max := rt.Opts.Cache.MaxCodeBytes
 	return max > 0 && rt.residentBytes.Load()+add > max
-}
-
-func (rt *Runtime) regionOverEntries(region int) bool {
-	max := rt.Opts.Cache.MaxEntriesPerRegion
-	return max > 0 && region >= 0 && region < len(rt.regionResident) &&
-		rt.regionResident[region].Load() >= int64(max)
 }
 
 func (rt *Runtime) regionOverBytes(region int, add int64) bool {
@@ -173,29 +154,71 @@ func (rt *Runtime) regionOverBytes(region int, add int64) bool {
 		rt.regionBytes[region].Load()+add > max
 }
 
-// makeRoomLocked evicts until the caps admit one more entry of `bytes`
-// code bytes for region. It runs with sh.mu held (the publishing shard) and
-// prefers local evictions; when the local ring cannot help it steals one
-// eviction at a time from sibling shards via TryLock (never blocking, so
-// never deadlocking). Per-region caps are enforced locally here and
-// cross-shard by reclaim after publish.
-func (rt *Runtime) makeRoomLocked(sh *shard, region int, bytes int64) {
-	for rt.overEntries() || rt.overBytes(bytes) {
-		if sh.evictOneLocked(rt, -1) {
-			continue
+// claim adds one to n unless that would take it past max (0: no cap).
+func claim(n *atomic.Int64, max int) bool {
+	for {
+		cur := n.Load()
+		if max > 0 && cur >= int64(max) {
+			return false
 		}
-		if !rt.stealEviction(sh, -1) {
-			return // every other shard busy or empty; reclaim will catch up
+		if n.CompareAndSwap(cur, cur+1) {
+			return true
 		}
 	}
-	for rt.regionOverEntries(region) || rt.regionOverBytes(region, bytes) {
-		if sh.evictOneLocked(rt, region) {
+}
+
+// admitLocked makes a completed entry resident if room can be made: it
+// evicts until the caps admit e, then joins e to the shard's CLOCK ring
+// and the resident counters. It runs with sh.mu held (the publishing
+// shard). The global caps are satisfied first, then the region's, and each
+// eviction prefers the local ring over stealing from a sibling. Entry slots
+// are claimed atomically (see claim), so the entry caps are never
+// exceeded. When an entry cap is full and no shard it can lock holds a
+// victim, it reports false and e is not cached; the caller serves e's
+// waiters without retaining it, as for an entry invalidated in flight.
+// Waiting for a locked sibling instead could deadlock two publishers that
+// each hold the shard with the other's victims. The byte caps are best
+// effort here, and reclaim restores them after publish.
+func (rt *Runtime) admitLocked(sh *shard, e *entry) bool {
+	c := &rt.Opts.Cache
+	// r >= 0: region -1 is a documented segment sentinel; an entry carrying
+	// it must not panic the accounting (it simply isn't tracked per region).
+	r := e.key.region
+	tracked := r >= 0 && r < len(rt.regionResident)
+	for {
+		for rt.overBytes(e.bytes) && rt.evictFor(sh, -1) {
+		}
+		if !claim(&rt.resident, c.MaxEntries) {
+			if !rt.evictFor(sh, -1) {
+				return false
+			}
 			continue
 		}
-		if !rt.stealEviction(sh, region) {
-			return
+		for rt.regionOverBytes(r, e.bytes) && rt.evictFor(sh, r) {
+		}
+		if !tracked || claim(&rt.regionResident[r], c.MaxEntriesPerRegion) {
+			break
+		}
+		rt.resident.Add(-1)
+		if !rt.evictFor(sh, r) {
+			return false
 		}
 	}
+	e.slot = len(sh.ring)
+	sh.ring = append(sh.ring, e)
+	rt.residentBytes.Add(e.bytes)
+	if tracked {
+		rt.regionBytes[r].Add(e.bytes)
+	}
+	rt.notePeak()
+	return true
+}
+
+// evictFor evicts one entry of region (-1: any), from sh's own ring if it
+// holds a candidate and otherwise from a sibling's. It reports false when
+// no shard it could lock had a candidate.
+func (rt *Runtime) evictFor(sh *shard, region int) bool {
+	return sh.evictOneLocked(rt, region) || rt.stealEviction(sh, region)
 }
 
 // stealEviction evicts one entry from some shard other than sh, using
@@ -216,23 +239,20 @@ func (rt *Runtime) stealEviction(sh *shard, region int) bool {
 	return false
 }
 
-// reclaim restores the caps after a publish, sweeping shards with full
-// locks (the caller holds none). It bounds the transient overshoot left
-// when makeRoomLocked could not evict — the publishing shard's ring was
-// empty and every sibling was mid-publish — to the duration of those
-// publishes.
+// reclaim restores the byte caps after a publish, sweeping shards with
+// full locks (the caller holds none). It bounds the transient overshoot
+// left when admitLocked could not evict enough bytes — the publishing
+// shard's ring was empty and every sibling was mid-publish — to the
+// duration of those publishes. The entry caps need no reclaim: admission
+// never exceeds them.
 func (rt *Runtime) reclaim(region int) {
 	c := &rt.Opts.Cache
-	if c.MaxEntries == 0 && c.MaxCodeBytes == 0 &&
-		c.MaxEntriesPerRegion == 0 && c.MaxCodeBytesPerRegion == 0 {
+	if c.MaxCodeBytes == 0 && c.MaxCodeBytesPerRegion == 0 {
 		return
 	}
 	for pass := 0; pass < 2*len(rt.shards); pass++ {
-		overGlobal := rt.overBytes(0) ||
-			(c.MaxEntries > 0 && rt.resident.Load() > int64(c.MaxEntries))
-		overRegion := rt.regionOverBytes(region, 0) ||
-			(c.MaxEntriesPerRegion > 0 && region >= 0 && region < len(rt.regionResident) &&
-				rt.regionResident[region].Load() > int64(c.MaxEntriesPerRegion))
+		overGlobal := rt.overBytes(0)
+		overRegion := rt.regionOverBytes(region, 0)
 		if !overGlobal && !overRegion {
 			return
 		}

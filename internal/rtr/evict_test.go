@@ -3,6 +3,7 @@ package rtr
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"dyncc/internal/tmpl"
@@ -27,7 +28,7 @@ func addCompleted(rt *Runtime, region int, key string, seg *vm.Segment) *entry {
 	close(e.done)
 	sh.mu.Lock()
 	sh.entries[ck] = e
-	sh.publishLocked(rt, e)
+	rt.admitLocked(sh, e)
 	sh.mu.Unlock()
 	return e
 }
@@ -280,5 +281,102 @@ func TestInvalidateKeyTargets(t *testing.T) {
 	}
 	if rt.lookupShared(0, encodeKey([]int64{7})) == nil {
 		t.Error("untouched key was dropped")
+	}
+}
+
+// TestAdmissionNeverExceedsCap publishes from every shard at once against
+// small global and per-region entry caps. Checking a cap under one shard's
+// lock and counting the entry later let two shards both take the last
+// slot; admission claims the slot atomically, so no count may ever pass
+// its cap, not even for an instant.
+func TestAdmissionNeverExceedsCap(t *testing.T) {
+	const shards, perShard, maxEntries, maxRegion = 8, 400, 4, 3
+	rt := testRuntime(CacheOptions{Shards: shards, MaxEntries: maxEntries,
+		MaxEntriesPerRegion: maxRegion}, 2)
+	var admitted atomic.Int64
+	errs := make(chan error, shards)
+	for i := 0; i < shards; i++ {
+		go func(i int) {
+			sh := &rt.shards[i]
+			for j := 0; j < perShard; j++ {
+				ck := cacheKey{region: j % 2, key: fmt.Sprintf("s%d-%d", i, j)}
+				e := &entry{key: ck, done: make(chan struct{}), seg: &vm.Segment{}, slot: -1}
+				close(e.done)
+				sh.mu.Lock()
+				sh.entries[ck] = e
+				if rt.admitLocked(sh, e) {
+					admitted.Add(1)
+				} else {
+					delete(sh.entries, ck)
+				}
+				sh.mu.Unlock()
+				if n := rt.regionResident[ck.region].Load(); n > maxRegion {
+					errs <- fmt.Errorf("region %d holds %d entries, cap %d", ck.region, n, maxRegion)
+					return
+				}
+			}
+			errs <- nil
+		}(i)
+	}
+	for i := 0; i < shards; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p := rt.peakEntries.Load(); p > maxEntries {
+		t.Errorf("peak entries %d exceed cap %d", p, maxEntries)
+	}
+	if n := rt.resident.Load(); n > maxEntries {
+		t.Errorf("resident entries %d exceed cap %d", n, maxEntries)
+	}
+	if admitted.Load() < shards*perShard/2 {
+		t.Errorf("only %d of %d entries admitted", admitted.Load(), shards*perShard)
+	}
+}
+
+// TestAdmissionDeclinesWhenVictimsLocked: a publisher whose region is at
+// its cap, with the region's only victim in a locked sibling shard, must
+// leave its entry uncached rather than wait. Two such publishers, each
+// holding the shard with the other's victim, would otherwise wait forever.
+func TestAdmissionDeclinesWhenVictimsLocked(t *testing.T) {
+	rt := testRuntime(CacheOptions{Shards: 2, MaxEntriesPerRegion: 1}, 2)
+	plant := func(sh *shard, region int, key string) *entry {
+		ck := cacheKey{region: region, key: key}
+		e := &entry{key: ck, done: make(chan struct{}), seg: &vm.Segment{}, slot: -1}
+		close(e.done)
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		sh.entries[ck] = e
+		if !rt.admitLocked(sh, e) {
+			t.Fatalf("%v not admitted into an empty cache", ck)
+		}
+		return e
+	}
+	sh0, sh1 := &rt.shards[0], &rt.shards[1]
+	plant(sh0, 1, "r1")
+	plant(sh1, 0, "r0")
+
+	e := &entry{key: cacheKey{region: 0, key: "new"}, done: make(chan struct{}), slot: -1}
+	close(e.done)
+	sh1.mu.Lock() // a sibling mid-publish holds region 0's only victim
+	sh0.mu.Lock()
+	if rt.admitLocked(sh0, e) {
+		t.Error("admitted past region 0's cap while its victim was locked")
+	}
+	sh0.mu.Unlock()
+	sh1.mu.Unlock()
+	if n := rt.regionResident[0].Load(); n != 1 || rt.resident.Load() != 2 {
+		t.Errorf("declined admission changed the counts: region 0 = %d, resident = %d",
+			n, rt.resident.Load())
+	}
+
+	sh0.mu.Lock()
+	ok := rt.admitLocked(sh0, e)
+	sh0.mu.Unlock()
+	if !ok {
+		t.Fatal("not admitted once the victim's shard was free")
+	}
+	if n := rt.regionResident[0].Load(); n != 1 || sh1.evictions != 1 {
+		t.Errorf("region 0 = %d entries, shard 1 evictions = %d; want 1 and 1", n, sh1.evictions)
 	}
 }

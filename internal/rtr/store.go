@@ -214,8 +214,8 @@ func (rt *Runtime) runStoreOp(op storeOp) {
 // everything stitch-specific: no Stitches/StencilStitches counting, no
 // stitcher statistics, no machine cost — adoption is free, like a
 // shared-cache hit. Reports whether the entry was retained (false: the
-// region was invalidated while loading; the segment is still valid for the
-// waiters of this attempt, which began before the invalidation).
+// region was invalidated while loading, or the full cache had nothing to
+// evict; the segment is still valid for the waiters of this attempt).
 func (rt *Runtime) adoptStored(region int, e *entry, seg *vm.Segment) bool {
 	e.seg = seg
 	close(e.done)
@@ -225,15 +225,13 @@ func (rt *Runtime) adoptStored(region int, e *entry, seg *vm.Segment) bool {
 	// The key is resident again; forget any logged eviction without
 	// counting a restitch — nothing was stitched.
 	sh.evicted.remove(e.key)
-	if e.gen != rt.gens[region].Load() || sh.entries[e.key] != e {
+	if e.gen != rt.gens[region].Load() || sh.entries[e.key] != e || !rt.admitLocked(sh, e) {
 		if sh.entries[e.key] == e {
 			delete(sh.entries, e.key)
 		}
 		sh.mu.Unlock()
 		return false
 	}
-	rt.makeRoomLocked(sh, region, e.bytes)
-	sh.publishLocked(rt, e)
 	sh.mu.Unlock()
 	rt.reclaim(region)
 	rt.keepStitched(region, seg)

@@ -359,40 +359,46 @@ func TestEvictLogWindowAtCapacity(t *testing.T) {
 	}
 }
 
-// TestNegativeRegionAccounting is the regression test for the satellite
-// guard fix: an entry whose key carries the region -1 sentinel must not
-// panic the per-region resident accounting on any of the four sites.
+// TestNegativeRegionAccounting is the regression test for the region
+// guard: an entry whose key carries the region -1 sentinel must not panic
+// the per-region resident accounting on any of its sites.
 func TestNegativeRegionAccounting(t *testing.T) {
 	rt := testRuntime(CacheOptions{Shards: 1, MaxEntriesPerRegion: 1,
 		MaxCodeBytesPerRegion: 1 << 20}, 1)
 	sh := &rt.shards[0]
-	ck := cacheKey{region: -1, key: "x"}
-	e := &entry{key: ck, done: make(chan struct{}), seg: &vm.Segment{},
-		bytes: 64, slot: -1}
-	close(e.done)
+	var es []*entry
+	for _, key := range []string{"x", "y"} {
+		ck := cacheKey{region: -1, key: key}
+		e := &entry{key: ck, done: make(chan struct{}), seg: &vm.Segment{},
+			bytes: 64, slot: -1}
+		close(e.done)
+		es = append(es, e)
+	}
 
+	// Site 1: admission. The second entry exercises the per-region cap
+	// checks with sh held; an untracked region has no cap to hit.
 	sh.mu.Lock()
-	sh.entries[ck] = e
-	sh.publishLocked(rt, e) // site 1: publish
+	for _, e := range es {
+		sh.entries[e.key] = e
+		if !rt.admitLocked(sh, e) {
+			t.Fatalf("entry %v not admitted", e.key)
+		}
+	}
 	sh.mu.Unlock()
-	if rt.resident.Load() != 1 {
-		t.Fatalf("resident = %d, want 1", rt.resident.Load())
+	if rt.resident.Load() != 2 {
+		t.Fatalf("resident = %d, want 2", rt.resident.Load())
 	}
 
-	// Sites 3 and 4: the per-region cap predicates.
-	if rt.regionOverEntries(-1) {
-		t.Error("regionOverEntries(-1) reported over-cap")
-	}
+	// Site 3: the per-region byte predicate.
 	if rt.regionOverBytes(-1, 128) {
 		t.Error("regionOverBytes(-1) reported over-cap")
 	}
-	sh.mu.Lock()
-	rt.makeRoomLocked(sh, -1, 64) // exercises both predicates with sh held
-	sh.mu.Unlock()
 	rt.reclaim(-1)
 
 	sh.mu.Lock()
-	sh.dropLocked(rt, e) // site 2: drop
+	for _, e := range es {
+		sh.dropLocked(rt, e) // site 2: drop
+	}
 	sh.mu.Unlock()
 	if rt.resident.Load() != 0 || rt.residentBytes.Load() != 0 {
 		t.Errorf("accounting leaked: resident=%d bytes=%d",
