@@ -10,7 +10,10 @@ all: check
 # stitch differential pass under the race detector (fast enough for every
 # check run; `race` still covers the whole tree), batch compilation gets a
 # race-enabled Compile/CompileBatch stress run, a fixed-seed differential
-# sweep smoke and a short race-enabled serving run, the bounded-cache churn
+# sweep smoke and a short race-enabled serving run, the differential sweep's
+# inline, merged, async and merged+async subjects under the race detector
+# (one publish tail serves the inline winner, background workers and store
+# adoption, so its fencing is raced here), the bounded-cache churn
 # test under the race detector with two procs (so the shared cache's cap
 # admission races even on a one-vCPU box), a race-enabled
 # automatic-promotion sweep smoke (annotation-stripped programs promoting,
@@ -36,6 +39,7 @@ check:
 	$(GO) test -race -short -timeout 180s -run 'TestCompileBatch|TestCompileRaceBatchVsSerial' ./internal/core
 	$(GO) test -short -timeout 120s -run 'TestBatchSweepFixedSeeds' ./internal/testgen
 	$(GO) test -race -short -timeout 180s -run 'TestServeSmall' ./internal/bench
+	$(GO) test -race -short -timeout 180s -run 'TestDifferentialFixedSeeds' ./internal/testgen
 	GOMAXPROCS=2 $(GO) test -race -count=3 -run TestCacheChurnBounded ./internal/bench
 	$(GO) test -race -short -timeout 180s -run 'TestAutoFixedSeeds' ./internal/testgen
 	$(GO) test -race -short -timeout 180s -run 'TestInlineFixedSeeds' ./internal/testgen

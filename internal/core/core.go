@@ -197,29 +197,29 @@ func Compile(src string, cfg Config) (*Compiled, error) {
 		Cache:    cfg.Cache,
 		Auto:     cfg.Auto,
 	})
-	if cfg.Dynamic && cfg.MergedStitch {
-		for _, ri := range ctx.Regions {
-			if ri.Split != nil {
-				c.Runtime.SetupFn[ri.Index] =
-					makeSetupFn(mod, ri.Fn, ri.Split, out.FuncAlloc[ri.Fn.Name])
-			}
+	// Host-side set-up evaluators: the merged set-up+stitch mode binds each
+	// region's set-up inputs from the live machine. Background stitching
+	// needs to rebuild a region's table from the key bytes alone, with no
+	// machine. That is exactly the Shareable proof (codegen/share.go): set-up
+	// consumes nothing but key values and machine-independent constants, so
+	// every keyed shareable region gets a key-bound evaluator; regions
+	// without one keep stitching inline. AutoRegion builds install them too
+	// so the promotion machinery's generic tier and any future background
+	// stitches of promoted regions have the same key-only path.
+	merged := cfg.Dynamic && cfg.MergedStitch
+	keyed := cfg.Dynamic && (cfg.Cache.AsyncStitch || cfg.AutoRegion)
+	for _, ri := range ctx.Regions {
+		if ri.Split == nil || !merged && !keyed {
+			continue
 		}
-	}
-	if cfg.Dynamic && (cfg.Cache.AsyncStitch || cfg.AutoRegion) {
-		// Background stitching needs to rebuild a region's table from the
-		// key bytes alone, with no machine. That is exactly the Shareable
-		// proof (codegen/share.go): set-up consumes nothing but key values
-		// and machine-independent constants. Install a key-driven set-up
-		// evaluator for every keyed shareable region; regions without one
-		// keep stitching inline. AutoRegion builds install them too so the
-		// promotion machinery's generic tier and any future background
-		// stitches of promoted regions have the same key-only path.
-		for _, ri := range ctx.Regions {
-			if ri.Split != nil && ri.Index < len(out.Regions) &&
-				out.Regions[ri.Index].Shareable && len(ri.Region.Keys) > 0 {
-				if fn := makeKeySetupFn(mod, ri.Fn, ri.Region, ri.Split); fn != nil {
-					c.Runtime.KeySetup[ri.Index] = fn
-				}
+		ev := newSetupEval(mod, ri.Fn, ri.Split)
+		if merged {
+			c.Runtime.SetupFn[ri.Index] = ev.fromMachine(out.FuncAlloc[ri.Fn.Name])
+		}
+		if keyed && ri.Index < len(out.Regions) &&
+			out.Regions[ri.Index].Shareable && len(ri.Region.Keys) > 0 {
+			if fn := ev.fromKeys(ri.Region); fn != nil {
+				c.Runtime.KeySetup[ri.Index] = fn
 			}
 		}
 	}
@@ -242,14 +242,29 @@ func (c *Compiled) PassStat(name string) pipeline.PassStat {
 // VM set-up + table indirection, which is the point of section 7).
 const mergedSetupCostPerStep = 2
 
-// makeSetupFn builds the host-side set-up evaluator for one region: it
-// reads the set-up subgraph's inputs out of the live machine (registers or
-// spill slots), interprets the subgraph directly against machine memory,
-// and returns the run-time constants table base.
-func makeSetupFn(mod *ir.Module, f *ir.Func, sr *split.Result,
-	alloc *regalloc.Allocation) func(m *vm.Machine) (int64, uint64, error) {
+// Arena sizing for key-driven set-up evaluation: the worker interprets
+// set-up against a private memory image (globals area reserved, tables
+// bump-allocated above it) and retries with a doubled arena if the
+// region's table outgrows it.
+const (
+	minKeySetupArena = 1 << 13
+	maxKeySetupArena = 1 << 24
+)
 
-	// Values read by set-up code but defined outside it.
+// setupEval is one region's host-side set-up evaluator: it interprets the
+// region's set-up subgraph directly and returns the run-time constants
+// table base. The subgraph reads inputs, values defined outside it; how
+// they are bound gives the evaluator's two forms, fromMachine (the merged
+// set-up+stitch mode) and fromKeys (background stitching).
+type setupEval struct {
+	mod    *ir.Module
+	f      *ir.Func
+	sr     *split.Result
+	inputs []ir.Value
+}
+
+// newSetupEval scans the region's set-up blocks once for their inputs.
+func newSetupEval(mod *ir.Module, f *ir.Func, sr *split.Result) *setupEval {
 	defined := map[ir.Value]bool{}
 	for _, b := range f.Blocks {
 		if !b.Setup || b.Region != sr.Region {
@@ -261,7 +276,7 @@ func makeSetupFn(mod *ir.Module, f *ir.Func, sr *split.Result,
 			}
 		}
 	}
-	var inputs []ir.Value
+	ev := &setupEval{mod: mod, f: f, sr: sr}
 	seen := map[ir.Value]bool{}
 	for _, b := range f.Blocks {
 		if !b.Setup || b.Region != sr.Region {
@@ -271,23 +286,39 @@ func makeSetupFn(mod *ir.Module, f *ir.Func, sr *split.Result,
 			for _, a := range in.Args {
 				if !defined[a] && !seen[a] {
 					seen[a] = true
-					inputs = append(inputs, a)
+					ev.inputs = append(ev.inputs, a)
 				}
 			}
 		}
 	}
+	return ev
+}
 
+// run interprets set-up against mem, allocating through alloc and
+// resolving frame slots against frame, with the inputs bound by init. It
+// returns the table base and the interpreter's step count.
+func (ev *setupEval) run(mem []int64, alloc func(int64) (int64, error), frame int64,
+	init map[ir.Value]int64) (int64, int, error) {
+
+	env := &ir.InterpEnv{
+		Mod:          ev.mod,
+		Mem:          mem,
+		Limit:        1 << 20,
+		AllocFn:      alloc,
+		FrameBase:    frame,
+		UseFrameBase: true,
+	}
+	tbl, err := env.RunSetup(ev.f, ev.sr.SetupEntry, init)
+	return tbl, env.Steps, err
+}
+
+// fromMachine binds the inputs from a live machine (registers or spill
+// slots, per alloc) and builds the table in the machine's own memory and
+// heap, returning its base plus the modeled cycle cost.
+func (ev *setupEval) fromMachine(alloc *regalloc.Allocation) func(m *vm.Machine) (int64, uint64, error) {
 	return func(m *vm.Machine) (int64, uint64, error) {
-		env := &ir.InterpEnv{
-			Mod:          mod,
-			Mem:          m.Mem,
-			Limit:        1 << 20,
-			AllocFn:      m.Alloc,
-			FrameBase:    m.Regs[vm.RSP],
-			UseFrameBase: true,
-		}
 		init := map[ir.Value]int64{}
-		for _, v := range inputs {
+		for _, v := range ev.inputs {
 			loc := alloc.Loc[v]
 			switch {
 			case loc.Spilled:
@@ -302,66 +333,25 @@ func makeSetupFn(mod *ir.Module, f *ir.Func, sr *split.Result,
 				init[v] = 0
 			}
 		}
-		tbl, err := env.RunSetup(f, sr.SetupEntry, init)
-		return tbl, uint64(env.Steps) * mergedSetupCostPerStep, err
+		tbl, steps, err := ev.run(m.Mem, m.Alloc, m.Regs[vm.RSP], init)
+		return tbl, uint64(steps) * mergedSetupCostPerStep, err
 	}
 }
 
-// Arena sizing for key-driven set-up evaluation: the worker interprets
-// set-up against a private memory image (globals area reserved, tables
-// bump-allocated above it) and retries with a doubled arena if the
-// region's table outgrows it.
-const (
-	minKeySetupArena = 1 << 13
-	maxKeySetupArena = 1 << 24
-)
-
-// makeKeySetupFn builds the key-driven set-up evaluator the async stitch
-// workers use: given only the region's key values, interpret the set-up
-// subgraph in a private arena and return (arena, table base). It returns
-// nil when any set-up input is neither a key nor a compile-time-resolvable
-// constant — which the Shareable proof rules out, so nil is purely
+// fromKeys binds the inputs from the region's key values alone: keys
+// positionally, every other input to the compile-time constant that
+// defines it. The table is built in a private arena (no machine involved),
+// retried with a doubled arena if it outgrows it; the result is (arena,
+// table base). fromKeys returns nil when an input is neither a key nor
+// such a constant — which the Shareable proof rules out, so nil is purely
 // defensive (the region then stitches inline, never incorrectly).
-func makeKeySetupFn(mod *ir.Module, f *ir.Func, r *ir.Region,
-	sr *split.Result) func(keyVals []int64) ([]int64, int64, error) {
-
-	// Values read by set-up code but defined outside it (the same
-	// computation as makeSetupFn).
-	defined := map[ir.Value]bool{}
-	for _, b := range f.Blocks {
-		if !b.Setup || b.Region != sr.Region {
-			continue
-		}
-		for _, in := range b.Instrs {
-			if in.Dst != 0 {
-				defined[in.Dst] = true
-			}
-		}
-	}
-	var inputs []ir.Value
-	seen := map[ir.Value]bool{}
-	for _, b := range f.Blocks {
-		if !b.Setup || b.Region != sr.Region {
-			continue
-		}
-		for _, in := range b.Instrs {
-			for _, a := range in.Args {
-				if !defined[a] && !seen[a] {
-					seen[a] = true
-					inputs = append(inputs, a)
-				}
-			}
-		}
-	}
-
-	// Bind every input at build time: keys positionally, constants by
-	// evaluating their defining instruction.
+func (ev *setupEval) fromKeys(r *ir.Region) func(keyVals []int64) ([]int64, int64, error) {
 	keyIdx := map[ir.Value]int{}
 	for i, k := range r.Keys {
 		keyIdx[k] = i
 	}
 	def := map[ir.Value]*ir.Instr{}
-	for _, b := range f.Blocks {
+	for _, b := range ev.f.Blocks {
 		for _, in := range b.Instrs {
 			if in.Dst != 0 {
 				def[in.Dst] = in
@@ -369,7 +359,7 @@ func makeKeySetupFn(mod *ir.Module, f *ir.Func, r *ir.Region,
 		}
 	}
 	constBind := map[ir.Value]int64{}
-	for _, v := range inputs {
+	for _, v := range ev.inputs {
 		if _, ok := keyIdx[v]; ok {
 			continue
 		}
@@ -383,7 +373,7 @@ func makeKeySetupFn(mod *ir.Module, f *ir.Func, r *ir.Region,
 		case ir.OpFConst:
 			constBind[v] = int64(math.Float64bits(in.F))
 		case ir.OpGlobalAddr:
-			g := mod.GlobalIndex[in.Sym]
+			g := ev.mod.GlobalIndex[in.Sym]
 			if g == nil {
 				return nil
 			}
@@ -393,7 +383,7 @@ func makeKeySetupFn(mod *ir.Module, f *ir.Func, r *ir.Region,
 		}
 	}
 
-	base := int64(mod.GlobalWords)
+	base := int64(ev.mod.GlobalWords)
 	return func(keyVals []int64) ([]int64, int64, error) {
 		if len(keyVals) != len(r.Keys) {
 			return nil, 0, fmt.Errorf("key set-up: %d key values, want %d",
@@ -407,23 +397,17 @@ func makeKeySetupFn(mod *ir.Module, f *ir.Func, r *ir.Region,
 			mem := make([]int64, size)
 			hp := base
 			grew := false
-			env := &ir.InterpEnv{
-				Mod:          mod,
-				Mem:          mem,
-				Limit:        1 << 20,
-				UseFrameBase: true, // set-up has no frame addresses (share proof)
-				AllocFn: func(n int64) (int64, error) {
-					if n < 0 {
-						return 0, fmt.Errorf("key set-up: negative allocation")
-					}
-					a := hp
-					hp += n
-					if hp > int64(len(mem)) {
-						grew = true
-						return 0, fmt.Errorf("key set-up: arena exhausted")
-					}
-					return a, nil
-				},
+			alloc := func(n int64) (int64, error) {
+				if n < 0 {
+					return 0, fmt.Errorf("key set-up: negative allocation")
+				}
+				a := hp
+				hp += n
+				if hp > int64(len(mem)) {
+					grew = true
+					return 0, fmt.Errorf("key set-up: arena exhausted")
+				}
+				return a, nil
 			}
 			init := map[ir.Value]int64{}
 			for i, k := range r.Keys {
@@ -432,7 +416,8 @@ func makeKeySetupFn(mod *ir.Module, f *ir.Func, r *ir.Region,
 			for v, c := range constBind {
 				init[v] = c
 			}
-			tbl, err := env.RunSetup(f, sr.SetupEntry, init)
+			// Set-up has no frame addresses (share proof): frame base 0.
+			tbl, _, err := ev.run(mem, alloc, 0, init)
 			if err != nil {
 				if grew && size < maxKeySetupArena {
 					continue

@@ -19,9 +19,10 @@
 // bytes alone (Runtime.KeySetup, installed by the compiler for regions it
 // proved Shareable — set-up provably depends only on the key values, so
 // the worker needs no machine), stitches against a private arena, and
-// publishes under the shard lock with exactly the same generation fencing
-// as the inline path: an entry invalidated (or explicitly flushed) while
-// in flight is discarded, never published (CacheStats.AsyncDiscards).
+// publishes: it runs the inline winner's own produce and publish steps, so
+// the store consult and the generation fencing are the same code. An entry
+// invalidated (or explicitly flushed) while in flight is discarded, never
+// published (CacheStats.AsyncDiscards).
 // Eviction interacts as always — in-flight entries are pinned because only
 // published entries join the CLOCK ring, and publishing makes room first.
 //
@@ -124,26 +125,9 @@ func (rt *Runtime) generic(region int) *vm.Segment {
 // (backpressure): callers stay on the fallback tier and a later miss
 // retries.
 func (rt *Runtime) schedule(region int, ks string) {
-	sh := rt.shardFor(region, ks)
-	ck := cacheKey{region: region, key: ks}
-	sh.mu.Lock()
-	if _, ok := sh.entries[ck]; ok {
-		sh.mu.Unlock()
+	e, _, won := rt.claim(region, ks)
+	if !won {
 		return
-	}
-	e := &entry{key: ck, gen: rt.gens[region].Load(),
-		done: make(chan struct{}), slot: -1}
-	sh.entries[ck] = e
-	sh.mu.Unlock()
-
-	withdraw := func(reason error) {
-		e.err = reason
-		sh.mu.Lock()
-		if sh.entries[ck] == e {
-			delete(sh.entries, ck)
-		}
-		sh.mu.Unlock()
-		close(e.done)
 	}
 	// The quit-check and the send happen under closeMu's read side so they
 	// are atomic with respect to Close: either the job is enqueued before
@@ -158,7 +142,7 @@ func (rt *Runtime) schedule(region int, ks string) {
 		// the claim forever. Withdraw it; callers keep running on the
 		// fallback tier.
 		rt.closeMu.RUnlock()
-		withdraw(errRuntimeClosed)
+		rt.withdraw(e, errRuntimeClosed)
 		return
 	default:
 	}
@@ -171,8 +155,19 @@ func (rt *Runtime) schedule(region int, ks string) {
 		rt.closeMu.RUnlock()
 		rt.inflight.Add(-1)
 		rt.queueRejects.Add(1)
-		withdraw(errAsyncQueueFull)
+		rt.withdraw(e, errAsyncQueueFull)
 	}
+}
+
+// withdraw fails a claimed entry that will never be produced (queue full,
+// runtime closed) and unmaps it, so a later miss can claim the key again.
+func (rt *Runtime) withdraw(e *entry, reason error) {
+	e.err = reason
+	sh := rt.shardFor(e.key.region, e.key.key)
+	sh.mu.Lock()
+	sh.dropLocked(rt, e)
+	sh.mu.Unlock()
+	close(e.done)
 }
 
 // startWorkers spawns the worker pool on first use (so a runtime that
@@ -200,95 +195,33 @@ func (rt *Runtime) worker() {
 	}
 }
 
-// runJob performs one background stitch: re-derive the table from the key
-// bytes, stitch, and publish with generation fencing.
+// runJob performs one background stitch through the inline winner's own
+// produce and publish steps. The table source is the region's KeySetup,
+// resolved only after a store miss. The store is consulted under a fresh
+// generation load, not e.gen: e is shared with InvalidateKey's sibling
+// sweep, which refreshes e.gen under the shard lock. A store adoption
+// counts as neither an async stitch nor a discard — nothing was stitched.
 func (rt *Runtime) runJob(job stitchJob) {
 	defer rt.inflight.Add(-1)
-	r := rt.Regions[job.region]
-	e := job.e
-
-	if rt.storeEnabled() {
-		// Level-0 consult, mirroring the inline winner (see stitchShared):
-		// a persisted specialization is adopted without re-deriving the
-		// table or stitching. Counted as neither an async stitch nor a
-		// discard — nothing was stitched. The digest uses a fresh
-		// generation load, not e.gen: e is shared with InvalidateKey's
-		// sibling sweep, which refreshes e.gen under the shard lock.
-		if seg := rt.storeLoad(job.region, rt.gens[job.region].Load(), job.key); seg != nil {
-			if rt.adoptStored(job.region, e, seg) {
-				rt.notePromote(time.Since(job.enq))
-			}
-			return
-		}
-	}
-
-	var (
-		seg   *vm.Segment
-		stats *stitcher.Stats
-		err   error
-	)
-	keyVals, err := decodeKey(job.key, len(r.KeyRegs))
-	if err == nil {
-		var (
-			mem []int64
-			tbl int64
-		)
-		mem, tbl, err = rt.KeySetup[job.region](keyVals)
-		if err == nil {
-			seg, stats, err = stitcher.Stitch(r, mem, tbl, rt.Prog.Segs[r.FuncID], rt.Opts.Stitcher)
-		}
-		if err == nil {
-			// Auto regions: guard-wrap before publish/persist (promote.go).
-			seg, err = guardStitch(r, seg, job.key)
-		}
-	}
-	e.seg, e.err = seg, err
-	close(e.done)
-
-	sh := rt.shardFor(job.region, job.key)
-	ck := e.key
-	sh.mu.Lock()
+	gen := rt.gens[job.region].Load()
+	seg, stats, err := rt.produce(job.region, job.key, gen, tableSource{})
+	kept := rt.publish(job.e, gen, seg, stats, err)
 	if err != nil {
-		sh.failedStitches++
-		if sh.entries[ck] == e {
-			delete(sh.entries, ck)
-		}
-		sh.mu.Unlock()
 		return
 	}
-	rt.asyncStitches.Add(1)
-	sh.stitches++
-	rt.countStencil(stats)
-	sh.addStatsLocked(job.region, stats)
-	e.bytes = int64(seg.MemFootprint())
-	restitch := sh.evicted.remove(ck)
-	if restitch {
-		sh.restitches++
+	if stats != nil {
+		rt.asyncStitches.Add(1)
 	}
-	if rt.Opts.Cache.ChurnStats {
-		c := sh.churnLocked(job.region)
-		c.Stitches++
-		if restitch {
-			c.Restitches++
-		}
-	}
-	if e.gen != rt.gens[job.region].Load() || sh.entries[ck] != e || !rt.admitLocked(sh, e) {
+	if !kept {
 		// Invalidated (or explicitly flushed) while in flight, or the full
-		// cache had nothing to evict: discard. Unlike the inline path there
-		// are no waiters to serve — fallback callers never block on the
-		// latch.
-		if sh.entries[ck] == e {
-			delete(sh.entries, ck)
+		// cache had nothing to evict. Unlike the inline path there are no
+		// waiters to serve — fallback callers never block on the latch.
+		if stats != nil {
+			rt.asyncDiscards.Add(1)
 		}
-		sh.mu.Unlock()
-		rt.asyncDiscards.Add(1)
 		return
 	}
-	putGen := e.gen // snapshot under the lock; sibling sweeps may refresh it
-	sh.mu.Unlock()
-	rt.storePut(job.region, putGen, job.key, seg)
 	rt.notePromote(time.Since(job.enq))
-	rt.reclaim(job.region)
 	rt.keepStitched(job.region, seg)
 }
 
@@ -367,14 +300,7 @@ func (rt *Runtime) closeAsync() {
 		for {
 			select {
 			case job := <-rt.jobs:
-				job.e.err = errRuntimeClosed
-				sh := rt.shardFor(job.region, job.key)
-				sh.mu.Lock()
-				if sh.entries[job.e.key] == job.e {
-					delete(sh.entries, job.e.key)
-				}
-				sh.mu.Unlock()
-				close(job.e.done)
+				rt.withdraw(job.e, errRuntimeClosed)
 				rt.inflight.Add(-1)
 			default:
 				return

@@ -129,6 +129,9 @@ type cacheKey struct {
 // at claim time; lookups reject entries whose generation is stale, so a
 // segment stitched against data invalidated mid-flight is served to its
 // waiters (they began before the invalidation) but never retained.
+// InvalidateKey refreshes gen on the keys it spares; storeGen, the
+// generation the segment's store digest was derived under, is set once at
+// publish and never refreshed, so invalidation deletes the right blob.
 type entry struct {
 	key  cacheKey
 	gen  uint64 // region generation at claim time
@@ -137,9 +140,10 @@ type entry struct {
 	err  error
 
 	// Guarded by the owning shard's mutex.
-	bytes int64 // seg.MemFootprint(), cached at publish
-	ref   bool  // CLOCK reference bit, set on every shared hit
-	slot  int   // index in the shard's ring; -1 when not resident
+	bytes    int64  // seg.MemFootprint(), cached at publish
+	ref      bool   // CLOCK reference bit, set on every shared hit
+	slot     int    // index in the shard's ring; -1 when not resident
+	storeGen uint64 // generation the segment was persisted or loaded under
 }
 
 // shard is one lock domain of the shared cache. Stitcher statistics and
@@ -161,7 +165,7 @@ type shard struct {
 	waits          uint64 // lookups that found an in-flight stitch to coalesce onto
 	misses         uint64 // lookups that found nothing
 	failedHits     uint64 // lookups that found a completed-but-failed entry
-	stitches       uint64 // successful stitches won in this shard
+	stitches       uint64 // successful stitches (shared winners and private)
 	failedStitches uint64 // stitches that returned an error
 	evictions      uint64 // capacity evictions (invalidations are counted separately)
 	restitches     uint64 // stitches of a key recently evicted for capacity
@@ -217,7 +221,7 @@ func (rt *Runtime) shardFor(region int, key string) *shard {
 // lookupShared returns the completed segment for (region, key), or nil.
 // In-flight entries are not waited on here: DYNENTER falls through into
 // set-up instead, and the wait happens at stitch time where the in-flight
-// window is pure host code (see stitchShared).
+// window is pure host code (see stitchNow).
 //
 // Accounting invariant: every lookup increments exactly one of hits,
 // waits, failedHits or misses, so at all times
@@ -263,76 +267,139 @@ func (rt *Runtime) lookupShared(region int, key string) *vm.Segment {
 	}
 }
 
-// stitchShared produces the segment for (region, key) with singleflight:
-// exactly one goroutine runs the stitcher against its own machine's table;
-// everyone else blocks until it publishes. The window between claim and
-// publish contains only host-side stitching (no VM execution), so waiters
-// cannot be abandoned. Returns the segment, the stitch statistics if this
-// call was the winner (nil for waiters — the winner's machine already
-// accounted the modeled cost), and any stitch error.
-func (rt *Runtime) stitchShared(m *vm.Machine, region int, key string,
-	tbl int64) (*vm.Segment, *stitcher.Stats, error) {
-
-	r := rt.Regions[region]
+// claim maps a new in-flight entry for (region, key) unless the key already
+// has one (in flight or resident). won reports whether the caller now owns
+// producing the key: it must hand the entry to publish. gen is the region
+// generation the claim snapshotted; once mapped, e.gen is shared with
+// InvalidateKey's sibling sweep, so the winner reads this copy instead.
+func (rt *Runtime) claim(region int, key string) (e *entry, gen uint64, won bool) {
 	sh := rt.shardFor(region, key)
 	ck := cacheKey{region: region, key: key}
-
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if e, ok := sh.entries[ck]; ok {
-		sh.mu.Unlock()
-		<-e.done
-		// A failed stitch is deterministic for a shareable region (the
-		// output depends only on the key), so propagate the winner's error
-		// rather than re-running a stitch that would fail identically.
-		return e.seg, nil, e.err
+		return e, 0, false
 	}
-	claimGen := rt.gens[region].Load()
-	e := &entry{key: ck, gen: claimGen,
-		done: make(chan struct{}), slot: -1}
+	gen = rt.gens[region].Load()
+	e = &entry{key: ck, gen: gen, done: make(chan struct{}), slot: -1}
 	sh.entries[ck] = e
-	sh.mu.Unlock()
-	// From here e is shared state: InvalidateKey's sibling sweep may
-	// refresh e.gen under the shard lock, so unlocked reads use the local
-	// claimGen snapshot instead.
+	return e, gen, true
+}
 
-	if rt.storeEnabled() {
-		// Level-0: a previous process (or an earlier generation of this
-		// one) may have persisted this exact specialization. The read is
-		// synchronous but happens only here, after winning the
-		// singleflight claim — concurrent missers coalesce onto it, and
-		// the warm lookup path never sees the store. Adoption is free:
-		// no stitch is counted and no stitch cost charged (stats == nil),
-		// exactly like adopting another machine's stitch.
-		if seg := rt.storeLoad(region, claimGen, key); seg != nil {
-			rt.adoptStored(region, e, seg)
+// tableSource is where a stitch reads its region's run-time constants
+// table: a machine's memory at base (left in RScratch by inline set-up, or
+// returned by the merged SetupFn), or, with mem nil, the table the
+// region's KeySetup rebuilds from the key bytes in a private arena.
+type tableSource struct {
+	mem  []int64
+	base int64
+}
+
+// produce makes the segment for (region, key), the one step every stitch
+// site shares. A shared region with a persistent store consults it first,
+// under gen: a persisted specialization comes back with nil stats, meaning
+// nothing was stitched. Otherwise the table is resolved (only now, so a
+// background worker's store hit skips key set-up) and stitched, and an
+// Auto region's segment is wrapped in its deoptimization guards before
+// anything caches, publishes or persists it (see promote.go).
+func (rt *Runtime) produce(region int, key string, gen uint64,
+	src tableSource) (*vm.Segment, *stitcher.Stats, error) {
+
+	r := rt.Regions[region]
+	if rt.shared(r) && rt.storeEnabled() {
+		if seg := rt.storeLoad(region, gen, key); seg != nil {
 			return seg, nil, nil
 		}
 	}
-
-	seg, stats, err := stitcher.Stitch(r, m.Mem, tbl, m.Prog.Segs[r.FuncID], rt.Opts.Stitcher)
+	mem, tbl := src.mem, src.base
+	if mem == nil {
+		keyVals, err := decodeKey(key, len(r.KeyRegs))
+		if err != nil {
+			return nil, nil, err
+		}
+		if mem, tbl, err = rt.KeySetup[region](keyVals); err != nil {
+			return nil, nil, err
+		}
+	}
+	seg, stats, err := stitcher.Stitch(r, mem, tbl, rt.Prog.Segs[r.FuncID], rt.Opts.Stitcher)
 	if err == nil {
-		// Auto regions: wrap in deoptimization guards before the segment is
-		// published or persisted, so every consumer — waiters, adopting
-		// machines, the store — sees guarded code (see promote.go).
 		seg, err = guardStitch(r, seg, key)
 	}
+	if err != nil {
+		return nil, nil, err
+	}
+	rt.countStencil(stats)
+	return seg, stats, nil
+}
+
+// publish completes the claimed entry e with produce's outcome: the one
+// publish tail of every shared specialization, inline winner, background
+// worker and store adoption alike. It releases e's waiters, then under the
+// shard lock counts the outcome and makes e resident if the generation
+// fence and the caps admit it, and persists a stitched segment back to the
+// store. A segment loaded from the store (nil stats) is an adoption:
+// nothing was stitched, so no stitch, restitch or stitcher statistic is
+// counted and nothing is put back; gen, the generation the store was
+// consulted under, names its blob. publish reports whether e was kept. A
+// segment the fence declines (the region was invalidated or the key
+// flushed while in flight) or the full cache cannot admit still serves
+// this attempt's waiters, which began before the invalidation, but is
+// neither retained nor persisted.
+func (rt *Runtime) publish(e *entry, gen uint64, seg *vm.Segment,
+	stats *stitcher.Stats, err error) bool {
+
 	e.seg, e.err = seg, err
 	close(e.done)
-
+	region := e.key.region
+	sh := rt.shardFor(region, e.key.key)
 	sh.mu.Lock()
 	if err != nil {
 		sh.failedStitches++
-		if sh.entries[ck] == e {
-			delete(sh.entries, ck)
-		}
+		sh.dropLocked(rt, e)
 		sh.mu.Unlock()
-		return seg, stats, err
+		return false
 	}
-	sh.stitches++
-	rt.countStencil(stats)
-	sh.addStatsLocked(region, stats)
 	e.bytes = int64(seg.MemFootprint())
-	restitch := sh.evicted.remove(ck)
+	// The key is resident again: forget any logged eviction. Only a real
+	// stitch of such a key counts as a restitch.
+	restitch := sh.evicted.remove(e.key)
+	if stats != nil {
+		sh.noteStitchLocked(rt, region, stats, restitch)
+	}
+	if e.gen != rt.gens[region].Load() || sh.entries[e.key] != e || !rt.admitLocked(sh, e) {
+		sh.dropLocked(rt, e)
+		sh.mu.Unlock()
+		return false
+	}
+	e.storeGen = gen
+	if stats != nil {
+		// Persist under the generation the entry is resident at (a sibling
+		// sweep may have refreshed it since the claim). Enqueued under the
+		// lock, so an invalidation that sweeps e queues its delete after
+		// this put.
+		e.storeGen = e.gen
+		rt.storePut(region, e.storeGen, e.key.key, seg)
+	}
+	sh.mu.Unlock()
+	rt.reclaim(region)
+	return true
+}
+
+// recordStats publishes one private stitch of a non-shareable region: its
+// counts and statistics, folded into the shard of its (region, key); the
+// segment never enters the level-1 cache.
+func (rt *Runtime) recordStats(region int, key string, stats *stitcher.Stats) {
+	sh := rt.shardFor(region, key)
+	sh.mu.Lock()
+	sh.noteStitchLocked(rt, region, stats, false)
+	sh.mu.Unlock()
+}
+
+// noteStitchLocked counts one successful stitch of region in the shard:
+// the stitch and restitch counters, the stitcher statistics and the churn
+// histogram.
+func (sh *shard) noteStitchLocked(rt *Runtime, region int, st *stitcher.Stats, restitch bool) {
+	sh.stitches++
 	if restitch {
 		sh.restitches++
 	}
@@ -343,42 +410,6 @@ func (rt *Runtime) stitchShared(m *vm.Machine, region int, key string,
 			c.Restitches++
 		}
 	}
-	if e.gen != rt.gens[region].Load() || sh.entries[ck] != e || !rt.admitLocked(sh, e) {
-		// The region was invalidated (or this key explicitly flushed)
-		// while we were stitching, or the full cache had nothing to evict:
-		// serve the waiters — they began before the invalidation — but do
-		// not retain the segment.
-		if sh.entries[ck] == e {
-			delete(sh.entries, ck)
-		}
-		sh.mu.Unlock()
-		return seg, stats, nil
-	}
-	putGen := e.gen // snapshot under the lock; sibling sweeps may refresh it
-	sh.mu.Unlock()
-
-	// Publish back to the persistent tier asynchronously (post-fence: a
-	// segment the invalidation branch above declined to retain is never
-	// persisted either).
-	rt.storePut(region, putGen, key, seg)
-
-	rt.reclaim(region)
-	return seg, stats, nil
-}
-
-// recordStats folds one private (unshared) stitch into the shard-local
-// statistics for its (region, key).
-func (rt *Runtime) recordStats(region int, key string, stats *stitcher.Stats) {
-	sh := rt.shardFor(region, key)
-	sh.mu.Lock()
-	sh.addStatsLocked(region, stats)
-	if rt.Opts.Cache.ChurnStats {
-		sh.churnLocked(region).Stitches++
-	}
-	sh.mu.Unlock()
-}
-
-func (sh *shard) addStatsLocked(region int, st *stitcher.Stats) {
 	for region >= len(sh.stats) {
 		sh.stats = append(sh.stats, stitcher.Stats{})
 	}

@@ -154,8 +154,8 @@ func (rt *Runtime) regionOverBytes(region int, add int64) bool {
 		rt.regionBytes[region].Load()+add > max
 }
 
-// claim adds one to n unless that would take it past max (0: no cap).
-func claim(n *atomic.Int64, max int) bool {
+// claimSlot adds one to n unless that would take it past max (0: no cap).
+func claimSlot(n *atomic.Int64, max int) bool {
 	for {
 		cur := n.Load()
 		if max > 0 && cur >= int64(max) {
@@ -172,7 +172,7 @@ func claim(n *atomic.Int64, max int) bool {
 // and the resident counters. It runs with sh.mu held (the publishing
 // shard). The global caps are satisfied first, then the region's, and each
 // eviction prefers the local ring over stealing from a sibling. Entry slots
-// are claimed atomically (see claim), so the entry caps are never
+// are claimed atomically (see claimSlot), so the entry caps are never
 // exceeded. When an entry cap is full and no shard it can lock holds a
 // victim, it reports false and e is not cached; the caller serves e's
 // waiters without retaining it, as for an entry invalidated in flight.
@@ -188,7 +188,7 @@ func (rt *Runtime) admitLocked(sh *shard, e *entry) bool {
 	for {
 		for rt.overBytes(e.bytes) && rt.evictFor(sh, -1) {
 		}
-		if !claim(&rt.resident, c.MaxEntries) {
+		if !claimSlot(&rt.resident, c.MaxEntries) {
 			if !rt.evictFor(sh, -1) {
 				return false
 			}
@@ -196,7 +196,7 @@ func (rt *Runtime) admitLocked(sh *shard, e *entry) bool {
 		}
 		for rt.regionOverBytes(r, e.bytes) && rt.evictFor(sh, r) {
 		}
-		if !tracked || claim(&rt.regionResident[r], c.MaxEntriesPerRegion) {
+		if !tracked || claimSlot(&rt.regionResident[r], c.MaxEntriesPerRegion) {
 			break
 		}
 		rt.resident.Add(-1)

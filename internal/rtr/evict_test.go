@@ -18,18 +18,14 @@ func testRuntime(cache CacheOptions, regions int) *Runtime {
 	return New(nil, rs, Options{Cache: cache})
 }
 
-// addCompleted plants a published (resident) entry, as stitchShared would
-// after a successful stitch.
+// addCompleted plants a published (resident) entry through the real claim
+// and publish tail, as a store adoption at the current generation would.
 func addCompleted(rt *Runtime, region int, key string, seg *vm.Segment) *entry {
-	sh := rt.shardFor(region, key)
-	ck := cacheKey{region: region, key: key}
-	e := &entry{key: ck, gen: rt.gens[region].Load(),
-		done: make(chan struct{}), seg: seg, slot: -1}
-	close(e.done)
-	sh.mu.Lock()
-	sh.entries[ck] = e
-	rt.admitLocked(sh, e)
-	sh.mu.Unlock()
+	e, gen, won := rt.claim(region, key)
+	if !won {
+		panic("addCompleted: key already claimed")
+	}
+	rt.publish(e, gen, seg, nil, nil)
 	return e
 }
 

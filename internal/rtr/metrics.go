@@ -2,8 +2,8 @@
 // counters folded across shards (CacheStats), the optional per-region
 // churn histogram (Churn), and resident-footprint gauges. Everything here
 // is a cold read path — the counters themselves are maintained under the
-// per-shard locks the stitch path already takes, so observation adds no
-// cost to dispatch.
+// per-shard locks the stitch path already takes (publish, recordStats), so
+// observation adds no cost to dispatch.
 package rtr
 
 // CacheStats summarizes shared-cache behaviour across all shards. All
@@ -32,10 +32,10 @@ type CacheStats struct {
 	Stitches       uint64
 	FailedStitches uint64
 	// StencilStitches counts successful stitches that ran on the
-	// copy-and-patch fast path (inline, singleflighted and background
-	// alike). Stitches - StencilStitches ran the interpretive fallback —
-	// nonzero when `-disable-pass stencil` is set or a region declined
-	// precompilation.
+	// copy-and-patch fast path (counted in produce, so inline,
+	// singleflighted and background stitches alike). Stitches -
+	// StencilStitches ran the interpretive fallback — nonzero when
+	// `-disable-pass stencil` is set or a region declined precompilation.
 	StencilStitches uint64
 
 	// Churn and lifecycle.
@@ -74,7 +74,7 @@ type CacheStats struct {
 
 	// Persistent (level-0) store tier (CacheOptions.Store; all zero
 	// without it). These extend — they do not alter — the lookup invariant
-	// above: store consults happen at stitch sites, after the level-1
+	// above: store consults happen in produce, after the level-1
 	// lookup was already classified, and each consult increments exactly
 	// one of StoreHits / StoreMisses / StoreErrors. A StoreHit is a stitch
 	// avoided, so Stitches does not count it.
@@ -138,7 +138,6 @@ func (rt *Runtime) CacheStats() CacheStats {
 		cs.Restitches += sh.restitches
 		sh.mu.Unlock()
 	}
-	cs.Stitches += rt.privateStitches.Load()
 	cs.StencilStitches = rt.stencilStitches.Load()
 	cs.Invalidations = rt.invalidations.Load()
 	cs.L2Evictions = rt.l2Evictions.Load()

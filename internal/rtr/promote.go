@@ -229,10 +229,10 @@ func (rt *Runtime) onDeopt(region int) {
 // against the value the segment was stitched for and deoptimizes to the
 // region's set-up entry (r.DeoptPC, a parent-segment pc) on mismatch.
 // Internal branch targets shift by the guard count; XFER targets (parent
-// pcs) do not. The wrap happens at every stitch site before the segment is
-// cached, published or persisted, so all emission paths — inline,
-// singleflight winner, background worker — and the persistent store all
-// carry byte-identical guarded code.
+// pcs) do not. The wrap happens in produce, before the segment is cached,
+// published or persisted, so every path — inline, singleflight winner,
+// background worker — and the persistent store carry byte-identical
+// guarded code.
 func wrapGuards(r *tmpl.Region, seg *vm.Segment, key string) (*vm.Segment, error) {
 	g := len(r.KeyRegs)
 	if g == 0 {
@@ -277,8 +277,8 @@ func wrapGuards(r *tmpl.Region, seg *vm.Segment, key string) (*vm.Segment, error
 	return ns, nil
 }
 
-// guardStitch wraps seg when region r is Auto; identity otherwise. Called
-// immediately after every successful stitcher.Stitch of a region segment.
+// guardStitch wraps seg when region r is Auto; identity otherwise. produce
+// calls it right after its stitcher.Stitch succeeds.
 func guardStitch(r *tmpl.Region, seg *vm.Segment, key string) (*vm.Segment, error) {
 	if !r.Auto {
 		return seg, nil

@@ -116,11 +116,8 @@ type Runtime struct {
 	regionResident []atomic.Int64
 	regionBytes    []atomic.Int64
 
-	// privateStitches counts stitches of non-shareable regions (shareable
-	// stitches are counted by their shard's monotonic counter).
-	privateStitches atomic.Uint64
-	invalidations   atomic.Uint64
-	l2Evictions     atomic.Uint64
+	invalidations atomic.Uint64
+	l2Evictions   atomic.Uint64
 	// stencilStitches counts stitches — inline, singleflighted, or
 	// background — that ran on the stitcher's copy-and-patch fast path
 	// (region had a precompiled stencil). Stitches minus StencilStitches
@@ -234,9 +231,10 @@ func (rt *Runtime) Invalidate(region int) {
 	rt.invalidations.Add(1)
 	// Persisted digests of the old generation become unreachable (the
 	// generation participates in the digest), but generation counters are
-	// process-local: delete the digests of the entries this sweep can see
-	// so a future process restarting at the old generation cannot
-	// resurrect them (best-effort; see store.go).
+	// process-local: delete the digest each resident entry was persisted or
+	// loaded under, so a future process restarting at that generation
+	// cannot resurrect it (best-effort; see store.go). In-flight entries
+	// are just unmapped: publish sees the flush and declines to retain.
 	var stale []storeOp
 	for i := range rt.shards {
 		sh := &rt.shards[i]
@@ -245,17 +243,10 @@ func (rt *Runtime) Invalidate(region int) {
 			if ck.region != region {
 				continue
 			}
-			select {
-			case <-e.done:
-				if rt.storeEnabled() && e.err == nil {
-					stale = append(stale, storeOp{region: region, gen: e.gen, key: ck.key})
-				}
-				sh.dropLocked(rt, e)
-			default:
-				// In-flight: unmap it so the publish path sees it was
-				// flushed and declines to retain (entries[ck] != e).
-				delete(sh.entries, ck)
+			if e.slot >= 0 && rt.storeEnabled() {
+				stale = append(stale, storeOp{region: region, gen: e.storeGen, key: ck.key})
 			}
+			sh.dropLocked(rt, e)
 		}
 		sh.mu.Unlock()
 	}
@@ -279,12 +270,12 @@ func (rt *Runtime) InvalidateKey(region int, keyVals ...int64) {
 	// generation and declines to retain.
 	gen := rt.gens[region].Add(1)
 	rt.invalidations.Add(1)
-	if rt.storeEnabled() {
-		// Orphaning by generation only protects this process; the persisted
-		// blob must go too, or a restarted process (generation counter back
-		// at an old value) could serve the invalidated specialization.
-		rt.storeDeleteGen(region, gen-1, ck.key)
-	}
+	// Orphaning by generation only protects this process; the persisted
+	// blob must go too, or a restarted process (generation counter back at
+	// an old value) could serve the invalidated specialization. A resident
+	// key's blob is named by the generation it was persisted or loaded
+	// under; any other key's, by the previous generation.
+	del := gen - 1
 	for i := range rt.shards {
 		sh := &rt.shards[i]
 		sh.mu.Lock()
@@ -293,12 +284,10 @@ func (rt *Runtime) InvalidateKey(region int, keyVals ...int64) {
 				continue
 			}
 			if k == ck {
-				select {
-				case <-e.done:
-					sh.dropLocked(rt, e)
-				default:
-					delete(sh.entries, k)
+				if e.slot >= 0 {
+					del = e.storeGen
 				}
+				sh.dropLocked(rt, e)
 				continue
 			}
 			// Sibling keys were not invalidated: refresh their
@@ -310,6 +299,7 @@ func (rt *Runtime) InvalidateKey(region int, keyVals ...int64) {
 		}
 		sh.mu.Unlock()
 	}
+	rt.enqueueStore(storeOp{region: region, gen: del, key: ck.key})
 }
 
 // Generation returns region's current generation number (diagnostics).
@@ -515,9 +505,9 @@ func (rt *Runtime) Attach(m *vm.Machine) {
 func (rt *Runtime) enterCold(m *vm.Machine, ms *machineState, region int,
 	key []byte) (*vm.Segment, error) {
 
-	r := rt.Regions[region]
 	ks := string(key)
-	if rt.shared(r) {
+	var gseg *vm.Segment
+	if rt.shared(rt.Regions[region]) {
 		if seg := rt.lookupShared(region, ks); seg != nil {
 			// Another machine already stitched this exact specialization.
 			// Adopt it: no set-up runs, no stitch cost is charged — the
@@ -525,43 +515,38 @@ func (rt *Runtime) enterCold(m *vm.Machine, ms *machineState, region int,
 			ms.put(rt, region, ks, seg)
 			return seg, nil
 		}
-		if gseg := rt.asyncFallback(region, ks); gseg != nil {
-			// Async stitching: the stitch is queued (or in flight) on a
-			// background worker; this call runs on the generic tier and
-			// the next call after publish adopts the stitched segment via
-			// the shared-cache lookup above. The generic segment is never
-			// installed in the level-2 map — it must not shadow promotion.
-			if setup := rt.SetupFn[region]; setup != nil {
-				tbl, cost, err := setup(m)
-				if err != nil {
-					return nil, fmt.Errorf("merged set-up %s: %w", r.Name, err)
-				}
-				rc := m.Region(region)
-				rc.SetupCycles += cost
-				m.Cycles += cost
-				m.Regs[vm.RScratch] = tbl
-				rt.fallbackRuns.Add(1)
-				return gseg, nil
-			}
-			ms.pending[region] = ks
-			ms.fallback[region] = true
-			return nil, nil // run inline set-up; DYNSTITCH takes the generic tier
-		}
+		// Async stitching: the stitch is queued (or in flight) on a
+		// background worker; this call runs on the generic tier and the
+		// next call after publish adopts the stitched segment via the
+		// shared-cache lookup above. The generic segment is never
+		// installed in the level-2 map — it must not shadow promotion.
+		gseg = rt.asyncFallback(region, ks)
 	}
-	if setup := rt.SetupFn[region]; setup != nil {
-		// Merged set-up + stitch: build the table host-side and stitch
-		// immediately; the inline VM set-up code never runs.
-		tbl, cost, err := setup(m)
-		if err != nil {
-			return nil, fmt.Errorf("merged set-up %s: %w", r.Name, err)
-		}
-		rc := m.Region(region)
-		rc.SetupCycles += cost
-		m.Cycles += cost
-		return rt.stitchNow(m, ms, region, ks, tbl)
+	setup := rt.SetupFn[region]
+	if setup == nil {
+		// Run inline set-up; DYNSTITCH then stitches, or takes the generic
+		// tier when a background worker does.
+		ms.pending[region] = ks
+		ms.fallback[region] = gseg != nil
+		return nil, nil
 	}
-	ms.pending[region] = ks
-	return nil, nil // run inline set-up, then DYNSTITCH
+	// Merged set-up: build the table host-side; the inline VM set-up code
+	// never runs.
+	tbl, cost, err := setup(m)
+	if err != nil {
+		return nil, fmt.Errorf("merged set-up %s: %w", rt.Regions[region].Name, err)
+	}
+	rc := m.Region(region)
+	rc.SetupCycles += cost
+	m.Cycles += cost
+	if gseg != nil {
+		// The generic segment's preamble reads the table from RScratch,
+		// exactly where inline set-up would have left it.
+		m.Regs[vm.RScratch] = tbl
+		rt.fallbackRuns.Add(1)
+		return gseg, nil
+	}
+	return rt.stitchNow(m, ms, region, ks, tbl)
 }
 
 // shared reports whether region r participates in the cross-machine cache.
@@ -570,10 +555,13 @@ func (rt *Runtime) shared(r *tmpl.Region) bool {
 }
 
 // stitchNow produces the stitched segment for (region, key) against the
-// table at tbl, caches it, and accounts the modeled stitcher cost to m.
-// For shared regions the stitch is singleflighted across machines: only
-// the winning goroutine pays (and is charged) the stitch; waiters adopt
-// the result for free, exactly like a shared-cache hit.
+// table at tbl in m's memory, caches it, and accounts the modeled stitcher
+// cost to m. A non-shareable region stitches privately. A shared region's
+// stitch is singleflighted across machines: only the claim's winner
+// produces (and is charged for) the segment; the others wait and adopt
+// the result for free, exactly like a shared-cache hit. The window between
+// claim and publish contains only host code (no VM execution), so waiters
+// cannot be abandoned.
 func (rt *Runtime) stitchNow(m *vm.Machine, ms *machineState, region int,
 	key string, tbl int64) (*vm.Segment, error) {
 
@@ -583,18 +571,21 @@ func (rt *Runtime) stitchNow(m *vm.Machine, ms *machineState, region int,
 		stats *stitcher.Stats
 		err   error
 	)
-	if rt.shared(r) {
-		seg, stats, err = rt.stitchShared(m, region, key, tbl)
-	} else {
-		seg, stats, err = stitcher.Stitch(r, m.Mem, tbl, m.Prog.Segs[r.FuncID], rt.Opts.Stitcher)
+	src := tableSource{mem: m.Mem, base: tbl}
+	if !rt.shared(r) {
+		seg, stats, err = rt.produce(region, key, 0, src)
 		if err == nil {
-			seg, err = guardStitch(r, seg, key)
-		}
-		if err == nil {
-			rt.privateStitches.Add(1)
-			rt.countStencil(stats)
 			rt.recordStats(region, key, stats)
 		}
+	} else if e, gen, won := rt.claim(region, key); won {
+		seg, stats, err = rt.produce(region, key, gen, src)
+		rt.publish(e, gen, seg, stats, err)
+	} else {
+		<-e.done
+		// A failed stitch is deterministic for a shareable region (the
+		// output depends only on the key), so propagate the winner's error
+		// rather than re-running a stitch that would fail identically.
+		seg, err = e.seg, e.err
 	}
 	if err != nil {
 		return nil, fmt.Errorf("stitch region %s: %w", r.Name, err)
@@ -613,9 +604,8 @@ func (rt *Runtime) stitchNow(m *vm.Machine, ms *machineState, region int,
 	return seg, nil
 }
 
-// countStencil tallies which emission path a successful stitch ran on;
-// called at every stitch site (inline private, singleflight winner,
-// background worker) so CacheStats.StencilStitches covers all tiers.
+// countStencil tallies which emission path a successful stitch ran on, so
+// CacheStats.StencilStitches covers every tier (produce is its one caller).
 func (rt *Runtime) countStencil(stats *stitcher.Stats) {
 	if stats != nil && stats.StencilPath {
 		rt.stencilStitches.Add(1)

@@ -31,14 +31,17 @@
 // additionally enqueues a best-effort Delete of the invalidated digest —
 // otherwise a pre-invalidation blob persisted at generation g could be
 // served by a *future* process whose counter is back at g. Invalidate
-// likewise deletes the digests of the resident entries it sweeps. Both are
+// likewise deletes the digests of the resident entries it sweeps. Each
+// resident entry records the generation its blob was persisted or loaded
+// under (entry.storeGen), which sibling sweeps never refresh, so both
+// delete the blob that exists. Both are
 // best-effort (a full publish queue drops them); callers that need
 // stronger cross-restart coherence should fold a data version into the
 // region key itself.
 //
 // # Hot-path discipline
 //
-// The store is consulted only at stitch sites — after a singleflight claim
+// The store is consulted only in produce — after a singleflight claim
 // (inline winner) or at the head of a background job — never on the
 // DYNENTER lookup path, so the warm path is untouched and concurrent
 // missers of one key pay one store read. Publishes back to the store
@@ -144,12 +147,6 @@ func (rt *Runtime) storePut(region int, gen uint64, key string, seg *vm.Segment)
 	rt.enqueueStore(storeOp{put: true, region: region, gen: gen, key: key, seg: seg})
 }
 
-// storeDeleteGen schedules a best-effort delete of the digest (region,
-// gen, key) derives.
-func (rt *Runtime) storeDeleteGen(region int, gen uint64, key string) {
-	rt.enqueueStore(storeOp{region: region, gen: gen, key: key})
-}
-
 // enqueueStore hands op to the publisher goroutine. The quit-check and
 // send are atomic with respect to closeStore (same handshake as
 // schedule/Close in async.go), so an op either lands before the drain or
@@ -206,36 +203,6 @@ func (rt *Runtime) runStoreOp(op storeOp) {
 		return
 	}
 	rt.storePutCount.Add(1)
-}
-
-// adoptStored publishes a store-loaded segment into the shared cache under
-// the caller's singleflight entry, with the same generation fencing as a
-// real stitch. It mirrors the publish tail of stitchShared/runJob minus
-// everything stitch-specific: no Stitches/StencilStitches counting, no
-// stitcher statistics, no machine cost — adoption is free, like a
-// shared-cache hit. Reports whether the entry was retained (false: the
-// region was invalidated while loading, or the full cache had nothing to
-// evict; the segment is still valid for the waiters of this attempt).
-func (rt *Runtime) adoptStored(region int, e *entry, seg *vm.Segment) bool {
-	e.seg = seg
-	close(e.done)
-	sh := rt.shardFor(region, e.key.key)
-	sh.mu.Lock()
-	e.bytes = int64(seg.MemFootprint())
-	// The key is resident again; forget any logged eviction without
-	// counting a restitch — nothing was stitched.
-	sh.evicted.remove(e.key)
-	if e.gen != rt.gens[region].Load() || sh.entries[e.key] != e || !rt.admitLocked(sh, e) {
-		if sh.entries[e.key] == e {
-			delete(sh.entries, e.key)
-		}
-		sh.mu.Unlock()
-		return false
-	}
-	sh.mu.Unlock()
-	rt.reclaim(region)
-	rt.keepStitched(region, seg)
-	return true
 }
 
 // closeStore stops the publisher and drains the queue, *executing* the

@@ -175,22 +175,21 @@ func TestInvalidateDeletesResidentDigests(t *testing.T) {
 	}
 }
 
-// TestAdoptStoredPublish: adoptStored publishes under the singleflight
-// entry with generation fencing, and the adopted segment is then served by
-// ordinary lookups.
-func TestAdoptStoredPublish(t *testing.T) {
-	rt := storeTestRuntime(segio.NewMemStore(), 1)
+// TestPublishAdoption: publishing a store-loaded segment (nil stats)
+// makes it resident under the singleflight entry with generation fencing,
+// counts no stitch and puts nothing back, and the adopted segment is then
+// served by ordinary lookups.
+func TestPublishAdoption(t *testing.T) {
+	store := segio.NewMemStore()
+	rt := storeTestRuntime(store, 1)
 	defer rt.Close()
 
 	seg := storedSeg()
-	ck := cacheKey{region: 0, key: "k"}
-	sh := rt.shardFor(0, "k")
-	e := &entry{key: ck, gen: rt.gens[0].Load(), done: make(chan struct{}), slot: -1}
-	sh.mu.Lock()
-	sh.entries[ck] = e
-	sh.mu.Unlock()
-
-	if !rt.adoptStored(0, e, seg) {
+	e, gen, won := rt.claim(0, "k")
+	if !won {
+		t.Fatal("claim on an empty cache lost")
+	}
+	if !rt.publish(e, gen, seg, nil, nil) {
 		t.Fatal("adoption declined with a live generation")
 	}
 	if rt.lookupShared(0, "k") != seg {
@@ -199,25 +198,78 @@ func TestAdoptStoredPublish(t *testing.T) {
 	if got := rt.regionResident[0].Load(); got != 1 {
 		t.Errorf("regionResident = %d, want 1", got)
 	}
-	// No stitch happened: the Stitches counter must not move.
-	if cs := rt.CacheStats(); cs.Stitches != 0 {
+	rt.WaitIdle()
+	// No stitch happened: the Stitches counter must not move, and nothing
+	// is persisted back.
+	if cs := rt.CacheStats(); cs.Stitches != 0 || cs.StencilStitches != 0 || cs.StorePuts != 0 {
 		t.Errorf("adoption counted as a stitch: %+v", cs)
+	}
+	if store.Len() != 0 {
+		t.Errorf("adoption put %d blobs back", store.Len())
 	}
 
 	// Invalidated mid-load: the segment is still returned to this
 	// attempt's waiters but never retained.
-	ck2 := cacheKey{region: 0, key: "k2"}
-	e2 := &entry{key: ck2, gen: rt.gens[0].Load(), done: make(chan struct{}), slot: -1}
-	sh2 := rt.shardFor(0, "k2")
-	sh2.mu.Lock()
-	sh2.entries[ck2] = e2
-	sh2.mu.Unlock()
+	e2, gen2, _ := rt.claim(0, "k2")
 	rt.gens[0].Add(1)
-	if rt.adoptStored(0, e2, storedSeg()) {
+	if rt.publish(e2, gen2, storedSeg(), nil, nil) {
 		t.Fatal("stale-generation adoption was retained")
+	}
+	<-e2.done
+	if e2.seg == nil || e2.err != nil {
+		t.Fatal("waiters of the stale attempt got no segment")
 	}
 	if rt.lookupShared(0, "k2") != nil {
 		t.Fatal("stale-generation segment served")
+	}
+}
+
+// TestInvalidateKeyAfterSiblingDeletesPersisted: InvalidateKey's sibling
+// sweep refreshes the generation of every key it spares, but their blobs
+// stay persisted under the old one. A later InvalidateKey of such a key
+// must delete the blob it was persisted under, or a restarted process,
+// whose generation counter is back at 0, serves an invalidated
+// specialization.
+func TestInvalidateKeyAfterSiblingDeletesPersisted(t *testing.T) {
+	store := segio.NewMemStore()
+	rt := storeTestRuntime(store, 1)
+	defer rt.Close()
+
+	k1, k2 := encodeKey([]int64{1}), encodeKey([]int64{2})
+	d1 := plant(t, rt, 0, 0, k1, storedSeg())
+	d2 := plant(t, rt, 0, 0, k2, storedSeg())
+	addCompleted(rt, 0, k1, storedSeg())
+	addCompleted(rt, 0, k2, storedSeg())
+
+	rt.InvalidateKey(0, 2)
+	rt.InvalidateKey(0, 1)
+	rt.WaitIdle()
+	if data, _ := store.Get(d2); data != nil {
+		t.Error("first invalidated key's blob survived")
+	}
+	if data, _ := store.Get(d1); data != nil {
+		t.Error("key invalidated after a sibling invalidation kept its gen-0 blob")
+	}
+}
+
+// TestInvalidateAfterSiblingDeletesPersisted: the same for a region-wide
+// Invalidate after a sibling InvalidateKey.
+func TestInvalidateAfterSiblingDeletesPersisted(t *testing.T) {
+	store := segio.NewMemStore()
+	rt := storeTestRuntime(store, 1)
+	defer rt.Close()
+
+	k1, k2 := encodeKey([]int64{1}), encodeKey([]int64{2})
+	d1 := plant(t, rt, 0, 0, k1, storedSeg())
+	plant(t, rt, 0, 0, k2, storedSeg())
+	addCompleted(rt, 0, k1, storedSeg())
+	addCompleted(rt, 0, k2, storedSeg())
+
+	rt.InvalidateKey(0, 2)
+	rt.Invalidate(0)
+	rt.WaitIdle()
+	if data, _ := store.Get(d1); data != nil {
+		t.Error("Invalidate after a sibling invalidation kept a gen-0 blob")
 	}
 }
 

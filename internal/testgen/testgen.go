@@ -367,10 +367,11 @@ func (tc *testCase) checkCompiled(name string, p *core.Compiled, async bool) err
 
 // Run generates the program for seed and differentially executes it:
 // reference = unoptimized IR interpretation, subjects = the fully
-// optimized dynamic pipeline, inline and with asynchronous background
-// stitching. cIn and xIn parameterize the run-time constant and the
-// varying input. A non-nil error describes the first divergence, with the
-// generated source embedded for reproduction.
+// optimized dynamic pipeline, with inline or merged set-up, each stitching
+// inline or on asynchronous background workers. cIn and xIn parameterize
+// the run-time constant and the varying input. A non-nil error describes
+// the first divergence, with the generated source embedded for
+// reproduction.
 func Run(seed, cIn, xIn int64) error {
 	tc, err := buildCase(seed, cIn, xIn)
 	if err != nil {
@@ -383,6 +384,8 @@ func Run(seed, cIn, xIn int64) error {
 		{"dynamic", core.Config{Dynamic: true, Optimize: true}},
 		{"dynamic+merged", core.Config{Dynamic: true, Optimize: true, MergedStitch: true}},
 		{"dynamic+async", core.Config{Dynamic: true, Optimize: true,
+			Cache: rtr.CacheOptions{AsyncStitch: true}}},
+		{"dynamic+merged+async", core.Config{Dynamic: true, Optimize: true, MergedStitch: true,
 			Cache: rtr.CacheOptions{AsyncStitch: true}}},
 	}
 	for _, sub := range subjects {
