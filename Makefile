@@ -25,7 +25,11 @@ all: check
 # suite runs once more with ir.Verify forced between all compiler passes
 # (check-passes), and the persistent-store round trip (compile → persist →
 # fresh runtime serves byte-identical code from the store) runs under the
-# race detector alongside a short store differential sweep.
+# race detector alongside a short store differential sweep. The vm and
+# stitcher packages run whole under the race detector too: their pooled
+# scratch (fusion's and the stitcher's) is shared by concurrent stitch
+# workers and CompileBatch, and TestFuseConcurrent fuses from 8 goroutines
+# against the reference pipeline.
 check:
 	$(GO) build ./...
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -33,6 +37,7 @@ check:
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race -timeout 120s ./internal/rtr
+	$(GO) test -race -timeout 120s ./internal/vm ./internal/stitcher
 	$(GO) test -race -short -timeout 120s -run 'TestStencil' ./internal/testgen
 	$(GO) test -race -timeout 120s -run 'TestPersistentStoreRoundTrip' .
 	$(GO) test -race -short -timeout 120s -run 'TestStoreFixedSeeds' ./internal/testgen

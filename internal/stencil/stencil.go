@@ -53,6 +53,7 @@ func Build(r *tmpl.Region) (*tmpl.Stencil, error) {
 		Blocks:       make([]tmpl.StencilBlock, len(r.Blocks)),
 		Entry:        int32(r.Entry),
 		NumLoopSlots: b.nSlots,
+		SegName:      r.Name + tmpl.StitchedSuffix,
 	}
 	for bi := range r.Blocks {
 		if err := b.block(bi, &s.Blocks[bi]); err != nil {

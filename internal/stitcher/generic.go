@@ -80,10 +80,12 @@ func Generic(region *tmpl.Region, parent *vm.Segment, opts Options) (*vm.Segment
 		g.out[f.pc].Target = pc
 	}
 
-	code := make([]vm.Inst, len(g.out))
-	copy(code, g.out)
-	if !opts.NoFuse {
-		code = vm.Fuse(code, vm.FuseOptions{}).Code
+	var code []vm.Inst
+	if opts.NoFuse {
+		code = make([]vm.Inst, len(g.out))
+		copy(code, g.out)
+	} else {
+		code = vm.Fuse(g.out, vm.FuseOptions{}).Code
 	}
 	var consts []int64
 	if len(g.consts) > 0 {

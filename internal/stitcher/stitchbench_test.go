@@ -137,6 +137,28 @@ func TestStitchStencilWarmZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestStitchAllocBudget is a full stitch's allocation budget: a warm
+// stencil-path Stitch allocates only the finished segment (fused code and
+// its PCMap, the segment, its exec plan) and the returned stats, at most
+// 10 objects.
+func TestStitchAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratch at random under the race detector")
+	}
+	region, mem, tbl := benchRegion(32)
+	withStencil(t, region)
+	parent := &vm.Segment{Name: "f", Code: make([]vm.Inst, 20), Region: -1}
+	stitch := func() {
+		if _, _, err := Stitch(region, mem, tbl, parent, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stitch() // warm the pooled stitch and fusion scratch
+	if n := testing.AllocsPerRun(100, stitch); n > 10 {
+		t.Errorf("warm stencil stitch allocates %.1f objects, want at most 10", n)
+	}
+}
+
 func benchStitch(b *testing.B, precompiled bool) {
 	region, mem, tbl := benchRegion(32)
 	if precompiled {

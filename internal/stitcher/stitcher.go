@@ -126,7 +126,8 @@ func Stitch(region *tmpl.Region, mem []int64, tableBase int64,
 // materializing a segment. It exists for benchmarks and the allocation
 // accounting in bench.StitchPerf: on warm scratch the stencil path's dry
 // stitch is allocation-free, so DryStitch isolates emission cost from the
-// unavoidable segment/fusion allocations of a real stitch.
+// segment allocations of a real stitch (fused code, PCMap, segment, exec
+// plan and stats: at most 10 objects, TestStitchAllocBudget).
 func DryStitch(region *tmpl.Region, mem []int64, tableBase int64,
 	opts Options) (Stats, error) {
 
@@ -291,21 +292,27 @@ func (st *stitch) emit() error {
 	return nil
 }
 
-// materialize copies the finished emission into an exact-size executable
-// segment (the only allocations of a warm stencil-path stitch).
+// materialize builds the exact-size executable segment from the finished
+// emission. Fusion reads st.out without modifying it and returns its own
+// exact-size copy, so the emission is copied once either way. A warm
+// stencil-path stitch allocates only here: the fused code and its PCMap,
+// the constant table (when there are large constants), the segment and
+// its three-array exec plan; the segment name is the stencil's.
 func (st *stitch) materialize(parent *vm.Segment) *vm.Segment {
 	st.stats.InstsStitched = len(st.out)
 	st.stats.CyclesModeled += uint64(costPerInst * len(st.out))
 
-	code := make([]vm.Inst, len(st.out))
-	copy(code, st.out)
-	if !st.opts.NoFuse {
+	var code []vm.Inst
+	if st.opts.NoFuse {
+		code = make([]vm.Inst, len(st.out))
+		copy(code, st.out)
+	} else {
 		// Superinstruction fusion on the finished stitch. Runs after the
 		// stats above so Table 2/3 report the pre-fusion stitch work;
 		// modeled guest cycles are unchanged by construction. Stitched
 		// code has uniform attribution, no entry markers and no jump
 		// tables; its XFERs target the parent and are left alone.
-		fr := vm.Fuse(code, vm.FuseOptions{})
+		fr := vm.Fuse(st.out, vm.FuseOptions{})
 		code = fr.Code
 		st.stats.Fusion = fr.Stats
 	}
@@ -314,8 +321,12 @@ func (st *stitch) materialize(parent *vm.Segment) *vm.Segment {
 		consts = make([]int64, len(st.consts))
 		copy(consts, st.consts)
 	}
+	name := st.r.Name + tmpl.StitchedSuffix // interpretive path: no stencil
+	if st.sten != nil {
+		name = st.sten.SegName
+	}
 	seg := &vm.Segment{
-		Name:     st.r.Name + ".stitched",
+		Name:     name,
 		Code:     code,
 		Consts:   consts,
 		Parent:   parent,

@@ -114,4 +114,10 @@ type Stencil struct {
 	// NumLoopSlots is 1 + the region's maximum loop id: the length of the
 	// dense record-context windows the stitcher allocates per transition.
 	NumLoopSlots int
+	// SegName names every segment stitched from the stencil (the region
+	// name plus StitchedSuffix), built once here rather than per stitch.
+	SegName string
 }
+
+// StitchedSuffix ends the name of a region's stitched segments.
+const StitchedSuffix = ".stitched"

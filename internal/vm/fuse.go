@@ -1,5 +1,10 @@
 package vm
 
+import (
+	"math/bits"
+	"sync"
+)
+
 // Stitch-time superinstruction fusion.
 //
 // Fuse rewrites a finished code sequence — stitched output or a statically
@@ -25,6 +30,14 @@ package vm
 // code. The one documented divergence is on error paths: when a fused
 // load+op traps on its load, the pair's combined cost has already been
 // charged where the seed would have charged the load alone.
+//
+// Fusion runs on every stitch, over segments of a dozen or so
+// instructions, so its cost is bookkeeping rather than analysis. The
+// per-pc working state comes from a pooled scratch (fuserPool, capped by
+// maxPooledFuse), liveness indexes live-in sets by pc, copy propagation
+// touches only aliased registers, and compaction works in place; a call
+// allocates its result only. The output is byte-identical to the earlier
+// fresh-buffer pipeline kept in fuse_ref_test.go (TestFuseMatchesReference).
 type FuseOptions struct {
 	// Per-pc attribution of the input code (nil: uniform, e.g. stitched
 	// segments). Fusion never moves cost across an attribution change.
@@ -75,74 +88,140 @@ type FuseResult struct {
 
 const allRegs = ^uint64(0)
 
-// fuser carries the pipeline state over one Fuse call.
+// maxPooledFuse is the retention cap on pooled fuser scratch, in
+// instructions: a scratch that grew past it (a very large static function
+// body) is dropped rather than pinned in the pool.
+const maxPooledFuse = 1 << 14
+
+// fuser carries the pipeline state over one Fuse call. Everything but
+// pcMap (which the result owns) is per-pc scratch reused across calls
+// through fuserPool: stitches fuse on every miss, and fresh buffers per
+// call would cost more than the copy-and-patch emission fusion follows.
 type fuser struct {
-	code     []Inst
-	regionOf []int16
+	code     []Inst  // working copy of the input
+	regionOf []int16 // working attribution (nil: uniform)
 	setupOf  []bool
-	leader   []bool // external leaders + control-flow leaders, current code
-	extern   []bool // externally-referenced pcs only, current code
-	entry    []bool // region-entry pcs, current code
-	pcMap    []int  // original pc -> current pc
+	regBuf   []int16 // pooled backing for regionOf
+	setupBuf []bool  // pooled backing for setupOf
+	leader   []bool  // external leaders + control-flow leaders, current code
+	extern   []bool  // externally-referenced pcs only, current code
+	entry    []bool  // region-entry pcs, current code
+	pcMap    []int   // original pc -> current pc; handed to the result
+	kill     []bool
+	liveOut  []uint64
+	liveIn   []uint64 // block start pc -> live-in (only leader slots are read)
+	starts   []int32  // block start pcs, in order
+	newpc    []int    // compaction map
 	stats    FuseStats
 }
 
-// Fuse runs the superinstruction pipeline over code and returns the
-// rewritten sequence. The input slice is not modified.
-func Fuse(code []Inst, opts FuseOptions) FuseResult {
-	f := &fuser{
-		code:  append([]Inst(nil), code...),
-		pcMap: make([]int, len(code)+1),
+var fuserPool = sync.Pool{New: func() any { return new(fuser) }}
+
+// identityRegs maps every register to itself: copyProp's empty alias map.
+var identityRegs = func() (m [NumRegs]Reg) {
+	for i := range m {
+		m[i] = Reg(i)
 	}
+	return m
+}()
+
+// Fuse runs the superinstruction pipeline over code and returns the
+// rewritten sequence. The input slice is not modified, and the result
+// shares no memory with it or with the pooled scratch: Code is one
+// exact-size copy, PCMap and the attribution tables are fresh.
+func Fuse(code []Inst, opts FuseOptions) FuseResult {
+	n := len(code)
+	f := fuserPool.Get().(*fuser)
+	f.code = append(f.code[:0], code...)
+	f.pcMap = make([]int, n+1)
 	for i := range f.pcMap {
 		f.pcMap[i] = i
 	}
+	f.regionOf = nil
 	if opts.RegionOf != nil {
-		f.regionOf = append([]int16(nil), opts.RegionOf...)
-		for len(f.regionOf) < len(code) {
+		f.regionOf = append(f.regBuf[:0], opts.RegionOf...)
+		for len(f.regionOf) < n {
 			f.regionOf = append(f.regionOf, -1)
 		}
 	}
+	f.setupOf = nil
 	if opts.SetupOf != nil {
-		f.setupOf = append([]bool(nil), opts.SetupOf...)
-		for len(f.setupOf) < len(code) {
+		f.setupOf = append(f.setupBuf[:0], opts.SetupOf...)
+		for len(f.setupOf) < n {
 			f.setupOf = append(f.setupOf, false)
 		}
 	}
-	f.extern = make([]bool, len(code)+1)
+	f.extern = cleared(f.extern, n+1)
 	for _, pc := range opts.Leaders {
-		if pc >= 0 && pc <= len(code) {
+		if pc >= 0 && pc <= n {
 			f.extern[pc] = true
 		}
 	}
-	f.entry = make([]bool, len(code)+1)
+	f.entry = cleared(f.entry, n+1)
 	for _, pc := range opts.EntryPCs {
-		if pc >= 0 && pc <= len(code) {
+		if pc >= 0 && pc <= n {
 			f.entry[pc] = true
 		}
 	}
-	f.stats.InstsBefore = len(code)
+	f.stats = FuseStats{InstsBefore: n}
 
 	f.computeLeaders()
 	f.copyProp()
-	kill := f.deadWrites()
-	f.compact(kill)
+	f.compact(f.deadWrites())
 
 	f.computeLeaders()
-	kill = f.fusePairs()
-	f.compact(kill)
+	f.compact(f.fusePairs())
 
 	f.computeLeaders()
 	f.threadJumps()
 
 	f.stats.InstsAfter = len(f.code)
-	return FuseResult{
-		Code:     f.code,
-		PCMap:    f.pcMap,
-		RegionOf: f.regionOf,
-		SetupOf:  f.setupOf,
-		Stats:    f.stats,
+	res := FuseResult{PCMap: f.pcMap, Stats: f.stats}
+	if len(f.code) > 0 {
+		res.Code = make([]Inst, len(f.code))
+		copy(res.Code, f.code)
 	}
+	if len(f.regionOf) > 0 {
+		res.RegionOf = append([]int16(nil), f.regionOf...)
+	}
+	if len(f.setupOf) > 0 {
+		res.SetupOf = append([]bool(nil), f.setupOf...)
+	}
+	f.release()
+	return res
+}
+
+// release drops the result-owned map and any buffer grown past the
+// retention cap, and returns the scratch to the pool. The scratch holds
+// only copies, never caller memory.
+func (f *fuser) release() {
+	f.pcMap = nil
+	if f.regionOf != nil {
+		f.regBuf = f.regionOf[:0]
+	}
+	if f.setupOf != nil {
+		f.setupBuf = f.setupOf[:0]
+	}
+	if cap(f.code) > maxPooledFuse {
+		*f = fuser{}
+	}
+	fuserPool.Put(f)
+}
+
+// resized returns buf with length n, reallocated only when its capacity
+// is short; the contents are unspecified.
+func resized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// cleared returns buf with length n and every element zero.
+func cleared[T any](buf []T, n int) []T {
+	buf = resized(buf, n)
+	clear(buf)
+	return buf
 }
 
 // sameAttr reports whether pcs a and b share cycle attribution, i.e.
@@ -187,7 +266,7 @@ func isBarrier(op Op) bool {
 // attribution changes and entry markers.
 func (f *fuser) computeLeaders() {
 	n := len(f.code)
-	f.leader = make([]bool, n+1)
+	f.leader = cleared(f.leader, n+1)
 	mark := func(pc int) {
 		if pc >= 0 && pc <= n {
 			f.leader[pc] = true
@@ -201,7 +280,8 @@ func (f *fuser) computeLeaders() {
 			mark(pc)
 		}
 	}
-	for pc, in := range f.code {
+	for pc := range f.code {
+		in := &f.code[pc]
 		switch in.Op {
 		case BEQZ, BNEZ, BEQI, BR, CMPBR, CMPBRI:
 			mark(in.Target)
@@ -209,6 +289,9 @@ func (f *fuser) computeLeaders() {
 		case JTBL, CALL, RET, XFER, HALT, DYNENTER, DYNSTITCH:
 			mark(pc + 1)
 		}
+	}
+	if f.regionOf == nil && f.setupOf == nil {
+		return // uniform attribution (stitched code): no changes to mark
 	}
 	for pc := 1; pc < n; pc++ {
 		if !f.sameAttr(pc-1, pc) {
@@ -276,21 +359,25 @@ func pureWrite(in *Inst) bool {
 // the dead-write pass to absorb (implicit readers — hook dispatch, calls —
 // keep them live where they matter).
 func (f *fuser) copyProp() {
-	var src [NumRegs]Reg // src[d] = s when Regs[d] == Regs[s] holds; d when not
+	src := identityRegs // src[d] = s when Regs[d] == Regs[s] holds; d when not
+	var aliased uint64  // registers d with src[d] != d
 	reset := func() {
-		for i := range src {
+		for m := aliased; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
 			src[i] = Reg(i)
 		}
+		aliased = 0
 	}
 	invalidate := func(d Reg) {
 		src[d] = d
-		for i := range src {
-			if src[i] == d {
+		aliased &^= uint64(1) << d
+		for m := aliased; m != 0; m &= m - 1 {
+			if i := bits.TrailingZeros64(m); src[i] == d {
 				src[i] = Reg(i)
+				aliased &^= uint64(1) << i
 			}
 		}
 	}
-	reset()
 	for pc := range f.code {
 		if f.leader[pc] {
 			reset()
@@ -318,11 +405,10 @@ func (f *fuser) copyProp() {
 			}
 		}
 		if writesRd(in) && in.Rd != RZero {
+			invalidate(in.Rd)
 			if in.Op == MOV && in.Rs != in.Rd {
-				invalidate(in.Rd)
 				src[in.Rd] = in.Rs
-			} else {
-				invalidate(in.Rd)
+				aliased |= uint64(1) << in.Rd
 			}
 		}
 	}
@@ -330,21 +416,34 @@ func (f *fuser) copyProp() {
 
 // liveness computes, for every pc, the set of registers live after the
 // instruction executes (block-level backward fixpoint, conservative at
-// barriers and segment exits).
+// barriers and segment exits). The result aliases f.liveOut.
 func (f *fuser) liveness() []uint64 {
 	n := len(f.code)
-	liveOut := make([]uint64, n)
+	f.liveOut = resized(f.liveOut, n)
+	liveOut := f.liveOut
 	if n == 0 {
 		return liveOut
 	}
-	// Block starts, in order.
-	var starts []int
-	for pc := 0; pc <= n; pc++ {
-		if pc < n && f.leader[pc] {
-			starts = append(starts, pc)
+	// Block starts, in order; block bi ends where block bi+1 starts.
+	f.starts = f.starts[:0]
+	for pc := 0; pc < n; pc++ {
+		if f.leader[pc] {
+			f.starts = append(f.starts, int32(pc))
 		}
 	}
-	liveIn := make(map[int]uint64, len(starts)) // block start -> live-in
+	starts := f.starts
+	// Without a backward branch every successor's live-in is final before
+	// its predecessors are visited, so one reverse sweep is the fixpoint
+	// (straight-line stitched code, loops unrolled, is the common case).
+	back := false
+	for pc := range f.code {
+		switch in := &f.code[pc]; in.Op {
+		case BR, BEQZ, BNEZ, BEQI, CMPBR, CMPBRI:
+			back = back || (in.Target >= 0 && in.Target <= pc)
+		}
+	}
+	f.liveIn = cleared(f.liveIn, n)
+	liveIn := f.liveIn // block start pc -> live-in; 0 until computed
 	inAt := func(pc int) uint64 {
 		if pc < 0 || pc >= n {
 			return allRegs
@@ -370,13 +469,12 @@ func (f *fuser) liveness() []uint64 {
 		}
 		return live | readSet(in)
 	}
-	for changed := true; changed; {
+	for changed := true; changed; changed = changed && back {
 		changed = false
 		for bi := len(starts) - 1; bi >= 0; bi-- {
-			start := starts[bi]
-			end := start + 1
-			for end < n && !f.leader[end] {
-				end++
+			start, end := int(starts[bi]), n
+			if bi+1 < len(starts) {
+				end = int(starts[bi+1])
 			}
 			// Live-out of the block's last instruction.
 			last := &f.code[end-1]
@@ -425,8 +523,9 @@ func absorb(host, victim *Inst) bool {
 // (zero cost, one instruction of count).
 func (f *fuser) deadWrites() []bool {
 	n := len(f.code)
-	kill := make([]bool, n)
 	liveOut := f.liveness()
+	f.kill = cleared(f.kill, n)
+	kill := f.kill
 	for pc := 0; pc < n; pc++ {
 		in := &f.code[pc]
 		dead := in.Op == NOP && !isControl(in.Op)
@@ -462,10 +561,12 @@ func (f *fuser) deadWrites() []bool {
 
 // compact removes killed slots, remapping branch targets, attribution
 // tables, the external reference sets and the cumulative PCMap. XFER
-// targets point into the parent segment and are never touched.
+// targets point into the parent segment and are never touched. It works
+// in place: newpc[pc] <= pc, so every slot is read before it is written.
 func (f *fuser) compact(kill []bool) {
 	n := len(f.code)
-	newpc := make([]int, n+1)
+	f.newpc = resized(f.newpc, n+1)
+	newpc := f.newpc
 	j := 0
 	for pc := 0; pc < n; pc++ {
 		newpc[pc] = j
@@ -477,21 +578,22 @@ func (f *fuser) compact(kill []bool) {
 	if j == n {
 		return // nothing killed
 	}
-	code := make([]Inst, 0, j)
-	var regionOf []int16
-	var setupOf []bool
-	extern := make([]bool, j+1)
-	entry := make([]bool, j+1)
+	// extern and entry map every pc, the one-past-the-end slot included,
+	// onto its new pc; several old pcs may land on one new pc (OR them).
+	for pc := 0; pc <= n; pc++ {
+		to, x, e := newpc[pc], f.extern[pc], f.entry[pc]
+		if pc > 0 && newpc[pc-1] == to {
+			x = x || f.extern[to]
+			e = e || f.entry[to]
+		}
+		f.extern[to], f.entry[to] = x, e
+	}
+	f.extern, f.entry = f.extern[:j+1], f.entry[:j+1]
 	for pc := 0; pc < n; pc++ {
-		if f.extern[pc] {
-			extern[newpc[pc]] = true
-		}
-		if f.entry[pc] {
-			entry[newpc[pc]] = true
-		}
 		if kill[pc] {
 			continue
 		}
+		to := newpc[pc]
 		in := f.code[pc]
 		switch in.Op {
 		case BEQZ, BNEZ, BEQI, BR, CMPBR, CMPBRI:
@@ -499,28 +601,24 @@ func (f *fuser) compact(kill []bool) {
 				in.Target = newpc[in.Target]
 			}
 		}
-		code = append(code, in)
+		f.code[to] = in
 		if f.regionOf != nil {
-			regionOf = append(regionOf, f.regionOf[pc])
+			f.regionOf[to] = f.regionOf[pc]
 		}
 		if f.setupOf != nil {
-			setupOf = append(setupOf, f.setupOf[pc])
+			f.setupOf[to] = f.setupOf[pc]
 		}
 	}
-	if f.extern[n] {
-		extern[j] = true
+	f.code = f.code[:j]
+	if f.regionOf != nil {
+		f.regionOf = f.regionOf[:j]
 	}
-	if f.entry[n] {
-		entry[j] = true
+	if f.setupOf != nil {
+		f.setupOf = f.setupOf[:j]
 	}
 	for i := range f.pcMap {
 		f.pcMap[i] = newpc[f.pcMap[i]]
 	}
-	f.code = code
-	f.regionOf = regionOf
-	f.setupOf = setupOf
-	f.extern = extern
-	f.entry = entry
 }
 
 // cmpSub returns the reg-form compare sub-op for a fusable compare, the
@@ -552,8 +650,9 @@ func ldSub(op Op) bool {
 // pair.
 func (f *fuser) fusePairs() []bool {
 	n := len(f.code)
-	kill := make([]bool, n)
 	liveOut := f.liveness()
+	f.kill = cleared(f.kill, n)
+	kill := f.kill
 	for pc := 0; pc+1 < n; pc++ {
 		if kill[pc] || f.leader[pc+1] || !f.sameAttr(pc, pc+1) {
 			continue

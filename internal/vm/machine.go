@@ -194,10 +194,10 @@ func (m *Machine) trapUnwind(pl *execPlan, pc, blkEnd int, region int32, setup b
 	if blkEnd <= pc+1 {
 		return
 	}
-	over := pl.costTo[blkEnd] - pl.costTo[pc+1]
-	xover := pl.xtraTo[blkEnd] - pl.xtraTo[pc+1]
-	m.Cycles -= over + xover
-	m.Insts -= pl.instsTo[blkEnd] - pl.instsTo[pc+1]
+	end, next := &pl.sum[blkEnd], &pl.sum[pc+1]
+	over := end.cost - next.cost
+	m.Cycles -= over + end.xtra - next.xtra
+	m.Insts -= end.insts - next.insts
 	if region >= 0 {
 		rc := m.Region(int(region))
 		if setup {
@@ -333,7 +333,7 @@ func (m *Machine) run(seg *Segment) (int64, error) {
 		}
 		exact := false
 		if pc >= blkEnd {
-			b := &pl.blocks[pl.blockAt[pc]]
+			b := &pl.blocks[pl.at[pc].block]
 			if m.Trace == nil && pc == int(b.start) && m.Cycles+b.cost+b.xtra <= m.MaxCycles {
 				// Charge the whole straight-line block up front.
 				m.Insts += b.insts
@@ -365,16 +365,17 @@ func (m *Machine) run(seg *Segment) (int64, error) {
 		in := &code[pc]
 		if exact {
 			// Seed-identical per-instruction accounting.
-			c := uint64(pl.costAt[pc])
-			m.Insts += uint64(pl.instsAt[pc])
-			if r := pl.regionAt[pc]; r != atRegion {
+			a := &pl.at[pc]
+			c := uint64(a.cost)
+			m.Insts += uint64(a.insts)
+			if r := a.region; r != atRegion {
 				atRegion = r
 				atRC = nil
 				if r >= 0 {
 					atRC = m.Region(int(r))
 				}
 			}
-			atSetup = pl.setupAt[pc]
+			atSetup = a.setup
 			if atRC != nil {
 				if atSetup {
 					atRC.SetupCycles += c
@@ -382,7 +383,7 @@ func (m *Machine) run(seg *Segment) (int64, error) {
 					atRC.ExecCycles += c
 				}
 			}
-			if e := pl.entryAt[pc]; e >= 0 {
+			if e := a.entry; e >= 0 {
 				m.Region(int(e)).Invocations++
 			}
 			m.Cycles += c

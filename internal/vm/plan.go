@@ -3,7 +3,7 @@ package vm
 // The execution plan precomputes, once per segment, everything the seed
 // interpreter re-derived on every step: per-pc cycle attribution
 // (stitched-region / static-region / set-up), region-entry invocation
-// markers, and static instruction costs. On top of the per-pc tables it
+// markers, and static instruction costs. On top of the per-pc records it
 // lays out basic blocks with summed costs so the interpreter can charge a
 // whole straight-line run with one update per counter at block entry,
 // falling back to exact per-instruction accounting when tracing, when the
@@ -13,6 +13,11 @@ package vm
 // The invariant throughout: for any execution, the machine's Cycles,
 // Insts and per-region counters are bit-identical to what the seed
 // per-instruction loop would have produced.
+//
+// A stitch builds a plan on every miss, so the plan is three arrays: one
+// record per pc, one prefix-sum record per pc plus one, and the blocks at
+// exact size. TestBuildPlanMatchesReference pins it to the earlier
+// per-slice builder kept in plan_ref_test.go.
 
 // planBlock is one straight-line run: [start, end) with uniform
 // attribution, entered only at start (or handled exactly otherwise).
@@ -27,44 +32,47 @@ type planBlock struct {
 	setup  bool   // attribute cost to SetupCycles instead of ExecCycles
 }
 
+// pcPlan is one instruction's exact-mode record (trace mode, budget-near
+// mode, mid-block entry), reproducing the seed's per-instruction
+// accounting, plus the index of its enclosing block.
+type pcPlan struct {
+	block  int32  // index of the enclosing block
+	region int32  // attribution region, or -1
+	entry  int32  // region invoked when this pc executes, or -1
+	cost   uint16 // StaticCost of the instruction
+	insts  uint8  // InstCount of the instruction
+	setup  bool   // attribute cost to SetupCycles instead of ExecCycles
+}
+
+// planSum is one prefix-sum record: the totals over pcs [0, i). The
+// difference of two records is a span's charge, which unwinds a block's
+// pre-charge when an instruction traps mid-block.
+type planSum struct {
+	cost  uint64
+	xtra  uint64 // machine-only cycles (wide-LI penalties)
+	insts uint64
+}
+
 // execPlan is the per-segment derived plan. It is machine-independent
 // (indices, never counter pointers: a machine's region slice may grow) and
 // immutable once built, so all machines running the segment share it.
+// Three arrays: blocks, one record per pc, and len+1 prefix sums.
 type execPlan struct {
-	blocks  []planBlock
-	blockAt []int32 // pc -> index of the enclosing block
-
-	// Exact-mode per-pc tables (trace mode, budget-near mode, mid-block
-	// entry) reproducing the seed's per-instruction accounting.
-	costAt   []uint16 // StaticCost of each instruction
-	regionAt []int32
-	setupAt  []bool
-	entryAt  []int32
-	instsAt  []uint8
-
-	// Prefix sums (len+1 entries) for unwinding a block's pre-charge when
-	// an instruction traps mid-block: costTo[i] = sum of costAt[0..i).
-	costTo  []uint64
-	xtraTo  []uint64
-	instsTo []uint64
+	blocks []planBlock
+	at     []pcPlan
+	sum    []planSum
 }
 
 // buildPlan derives the execution plan from an immutable segment.
 func buildPlan(seg *Segment) *execPlan {
 	n := len(seg.Code)
 	p := &execPlan{
-		blockAt:  make([]int32, n),
-		costAt:   make([]uint16, n),
-		regionAt: make([]int32, n),
-		setupAt:  make([]bool, n),
-		entryAt:  make([]int32, n),
-		instsAt:  make([]uint8, n),
-		costTo:   make([]uint64, n+1),
-		xtraTo:   make([]uint64, n+1),
-		instsTo:  make([]uint64, n+1),
+		at:  make([]pcPlan, n),
+		sum: make([]planSum, n+1),
 	}
 
-	// Per-pc attribution, mirroring the seed's per-step re-derivation.
+	// Per-pc attribution, mirroring the seed's per-step re-derivation,
+	// and prefix sums.
 	for pc := range seg.Code {
 		r, setup := int32(-1), false
 		if seg.Stitched && seg.Region >= 0 {
@@ -73,50 +81,37 @@ func buildPlan(seg *Segment) *execPlan {
 			r = int32(seg.RegionOf[pc])
 			setup = seg.SetupOf != nil && pc < len(seg.SetupOf) && seg.SetupOf[pc]
 		}
-		p.regionAt[pc] = r
-		p.setupAt[pc] = setup
-		p.entryAt[pc] = -1
 		in := &seg.Code[pc]
-		p.costAt[pc] = uint16(StaticCost(in))
-		p.instsAt[pc] = uint8(InstCount(in))
-	}
-	if seg.RegionEntry != nil {
-		for pc, r := range seg.RegionEntry {
-			if pc < n && r >= 0 {
-				p.entryAt[pc] = r
-			}
-		}
-	}
-
-	// Prefix sums.
-	for pc := 0; pc < n; pc++ {
+		a := pcPlan{region: r, entry: -1, cost: uint16(StaticCost(in)),
+			insts: uint8(InstCount(in)), setup: setup}
+		p.at[pc] = a
 		xtra := uint64(0)
-		if in := &seg.Code[pc]; in.Op == LI && !FitsImm(in.Imm) {
+		if in.Op == LI && !FitsImm(in.Imm) {
 			xtra = 1 // wide-constant penalty: machine cycles only
 		}
-		p.costTo[pc+1] = p.costTo[pc] + uint64(p.costAt[pc])
-		p.xtraTo[pc+1] = p.xtraTo[pc] + xtra
-		p.instsTo[pc+1] = p.instsTo[pc] + uint64(p.instsAt[pc])
+		s := &p.sum[pc]
+		p.sum[pc+1] = planSum{s.cost + uint64(a.cost), s.xtra + xtra, s.insts + uint64(a.insts)}
 	}
-
-	// Block leaders: entry, branch targets, jump-table entries,
-	// instructions after a control transfer, attribution changes and
-	// region-entry markers.
-	leader := make([]bool, n+1)
-	if n > 0 {
-		leader[0] = true
-	}
-	mark := func(pc int) {
-		if pc >= 0 && pc <= n {
-			leader[pc] = true
+	for pc, r := range seg.RegionEntry {
+		if pc < n && r >= 0 {
+			p.at[pc].entry = r
 		}
 	}
-	for pc, in := range seg.Code {
+
+	// Block leaders, marked in the block field (1 = leader) until the
+	// layout below overwrites it: entry, branch targets, jump-table
+	// entries, instructions after a control transfer, attribution changes
+	// and region-entry markers.
+	mark := func(pc int) {
+		if pc >= 0 && pc < n {
+			p.at[pc].block = 1
+		}
+	}
+	mark(0)
+	for pc := range seg.Code {
+		in := &seg.Code[pc]
 		switch in.Op {
-		case BEQZ, BNEZ, BEQI, CMPBR, CMPBRI:
-			mark(in.Target)
-			mark(pc + 1)
-		case BR:
+		case BEQZ, BNEZ, BEQI, BR, CMPBR, CMPBRI:
 			mark(in.Target)
 			mark(pc + 1)
 		case JTBL, CALL, RET, XFER, HALT, DYNENTER, DYNSTITCH, GUARD:
@@ -130,35 +125,41 @@ func buildPlan(seg *Segment) *execPlan {
 			mark(t)
 		}
 	}
-	for pc := 1; pc < n; pc++ {
-		if p.regionAt[pc] != p.regionAt[pc-1] || p.setupAt[pc] != p.setupAt[pc-1] {
-			leader[pc] = true
+	nb := 0
+	for pc := range p.at {
+		a := &p.at[pc]
+		if pc > 0 {
+			b := &p.at[pc-1]
+			if a.region != b.region || a.setup != b.setup || a.entry >= 0 {
+				a.block = 1
+			}
 		}
-		if p.entryAt[pc] >= 0 {
-			leader[pc] = true
-		}
+		nb += int(a.block)
 	}
 
 	// Lay out blocks and sum their costs.
+	if nb > 0 {
+		p.blocks = make([]planBlock, 0, nb)
+	}
 	for pc := 0; pc < n; {
 		end := pc + 1
-		for end < n && !leader[end] {
+		for end < n && p.at[end].block == 0 {
 			end++
 		}
-		b := planBlock{
+		a := &p.at[pc]
+		p.blocks = append(p.blocks, planBlock{
 			start:  int32(pc),
 			end:    int32(end),
-			cost:   p.costTo[end] - p.costTo[pc],
-			xtra:   p.xtraTo[end] - p.xtraTo[pc],
-			insts:  p.instsTo[end] - p.instsTo[pc],
-			region: p.regionAt[pc],
-			setup:  p.setupAt[pc],
-			entry:  p.entryAt[pc],
-		}
-		bi := int32(len(p.blocks))
-		p.blocks = append(p.blocks, b)
+			cost:   p.sum[end].cost - p.sum[pc].cost,
+			xtra:   p.sum[end].xtra - p.sum[pc].xtra,
+			insts:  p.sum[end].insts - p.sum[pc].insts,
+			region: a.region,
+			setup:  a.setup,
+			entry:  a.entry,
+		})
+		bi := int32(len(p.blocks) - 1)
 		for i := pc; i < end; i++ {
-			p.blockAt[i] = bi
+			p.at[i].block = bi
 		}
 		pc = end
 	}
