@@ -9,7 +9,10 @@ all: check
 # cache/eviction/async-stitch machinery and the stencil/interpretive
 # stitch differential pass under the race detector (fast enough for every
 # check run; `race` still covers the whole tree), batch compilation gets a
-# race-enabled Compile/CompileBatch stress run, a fixed-seed differential
+# race-enabled Compile/CompileBatch stress run (with the dense-table
+# passes checked against their map-based references, TestDenseMatchesReference
+# and TestAllocateMatchesReference: those tables are allocated per call, so
+# CompileBatch workers share none of them), a fixed-seed differential
 # sweep smoke and a short race-enabled serving run, the differential sweep's
 # inline, merged, async and merged+async subjects under the race detector
 # (one publish tail serves the inline winner, background workers and store
@@ -41,7 +44,7 @@ check:
 	$(GO) test -race -short -timeout 120s -run 'TestStencil' ./internal/testgen
 	$(GO) test -race -timeout 120s -run 'TestPersistentStoreRoundTrip' .
 	$(GO) test -race -short -timeout 120s -run 'TestStoreFixedSeeds' ./internal/testgen
-	$(GO) test -race -short -timeout 180s -run 'TestCompileBatch|TestCompileRaceBatchVsSerial' ./internal/core
+	$(GO) test -race -short -timeout 180s -run 'TestCompileBatch|TestCompileRaceBatchVsSerial|TestDenseMatchesReference|TestAllocateMatchesReference' ./internal/core ./internal/ir ./internal/regalloc
 	$(GO) test -short -timeout 120s -run 'TestBatchSweepFixedSeeds' ./internal/testgen
 	$(GO) test -race -short -timeout 180s -run 'TestServeSmall' ./internal/bench
 	$(GO) test -race -short -timeout 180s -run 'TestDifferentialFixedSeeds' ./internal/testgen

@@ -8,7 +8,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"dyncc/internal/core"
@@ -27,18 +26,6 @@ func (l *passList) Set(v string) error {
 		}
 	}
 	return nil
-}
-
-// sortedConsts returns the constant values in ascending order.
-func sortedConsts(m map[ir.Value]bool) []ir.Value {
-	var vs []ir.Value
-	for v, ok := range m {
-		if ok {
-			vs = append(vs, v)
-		}
-	}
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	return vs
 }
 
 func main() {
@@ -108,14 +95,14 @@ func main() {
 			fmt.Printf("=== analysis %s region %d\n", r.Fn.Name, r.ID)
 			res := sr.Analysis
 			fmt.Printf("run-time constants:")
-			for _, v := range sortedConsts(res.Const) {
+			res.Const.ForEach(func(v ir.Value) {
 				name := r.Fn.ValueInfo(v).Name
 				if name == "" {
 					fmt.Printf(" v%d", v)
 				} else {
 					fmt.Printf(" %s(v%d)", name, v)
 				}
-			}
+			})
 			fmt.Println()
 			for _, b := range r.Fn.Blocks {
 				if b.Region != r || b.Setup {

@@ -12,8 +12,9 @@ import (
 type Result struct {
 	Region *ir.Region
 
-	// Const reports which SSA values are run-time constants.
-	Const map[ir.Value]bool
+	// Const is the set of SSA values that are run-time constants. Values
+	// created after the analysis are not members.
+	Const ir.ValueSet
 
 	// BlockReach is the reachability condition at each block entry.
 	BlockReach map[*ir.Block]Cond
@@ -47,9 +48,10 @@ func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Resul
 	if !f.SSA {
 		return nil, fmt.Errorf("analysis: %s is not in SSA form", f.Name)
 	}
+	nv := f.NumValues()
 	res := &Result{
 		Region:      r,
-		Const:       map[ir.Value]bool{},
+		Const:       ir.NewValueSet(nv),
 		BlockReach:  map[*ir.Block]Cond{},
 		EdgeReach:   map[EdgeKey]Cond{},
 		ConstMerge:  map[*ir.Block]bool{},
@@ -67,16 +69,18 @@ func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Resul
 	}
 
 	// Seed values: annotated constants (incl. keys).
-	seeds := map[ir.Value]bool{}
+	seeds := ir.NewValueSet(nv)
 	for _, v := range r.Consts {
-		seeds[v] = true
+		seeds.Add(v)
 	}
 
-	// Unrolled loop heads are constant merges by decree (exactly one
-	// predecessor arc is ever taken per unrolled copy, paper section 3.1).
-	loopHead := map[*ir.Block]bool{}
+	// Per-block marks, by Block.ID. Unrolled loop heads are constant
+	// merges by decree (exactly one predecessor arc is ever taken per
+	// unrolled copy, paper section 3.1).
+	nb := f.NumBlockIDs()
+	loopHead := make([]bool, nb)
 	for _, l := range r.Loops {
-		loopHead[l.Head] = true
+		loopHead[l.Head.ID] = true
 	}
 
 	// Heads of loops that are *not* unrolled must be non-constant merges
@@ -84,43 +88,43 @@ func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Resul
 	// loop back edge arc will not normally be mutually exclusive" — we make
 	// the safe choice unconditionally). Detect back-edge targets with a DFS
 	// over the region subgraph.
-	ordinaryLoopHead := map[*ir.Block]bool{}
+	ordinaryLoopHead := make([]bool, nb)
 	{
-		state := map[*ir.Block]int{} // 0 unvisited, 1 on stack, 2 done
+		state := make([]uint8, nb) // 0 unvisited, 1 on stack, 2 done
 		var dfs func(b *ir.Block)
 		dfs = func(b *ir.Block) {
-			state[b] = 1
+			state[b.ID] = 1
 			for _, s := range b.Succs() {
 				if !inRegion(s) {
 					continue
 				}
-				switch state[s] {
+				switch state[s.ID] {
 				case 0:
 					dfs(s)
 				case 1:
-					if !loopHead[s] {
-						ordinaryLoopHead[s] = true
+					if !loopHead[s.ID] {
+						ordinaryLoopHead[s.ID] = true
 					}
 				}
 			}
-			state[b] = 2
+			state[b.ID] = 2
 		}
 		dfs(r.Entry)
 	}
 
 	// Optimistic initialization: every value defined inside the region is
 	// assumed constant; values defined outside are constant iff seeded.
-	definedIn := map[ir.Value]bool{}
+	definedIn := ir.NewValueSet(nv)
 	for _, b := range blocks {
 		for _, in := range b.Instrs {
 			if in.Dst != 0 {
-				definedIn[in.Dst] = true
-				res.Const[in.Dst] = true
+				definedIn.Add(in.Dst)
+				res.Const.Add(in.Dst)
 			}
 		}
 	}
-	for v := range seeds {
-		res.Const[v] = true
+	for i, w := range seeds {
+		res.Const[i] |= w
 	}
 	// Compile-time literal constants are a special case of run-time
 	// constants (paper section 3.1 footnote): a literal defined before the
@@ -128,22 +132,23 @@ func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Resul
 	for _, b := range blocks {
 		for _, in := range b.Instrs {
 			for _, a := range in.Args {
-				if definedIn[a] || res.Const[a] {
+				if definedIn.Has(a) || res.Const.Has(a) {
 					continue
 				}
 				if def := f.DefOf(a); def != nil &&
 					(def.Op == ir.OpConst || def.Op == ir.OpFConst) {
-					res.Const[a] = true
+					res.Const.Add(a)
 				}
 			}
 		}
 	}
 	for v := range forcedNonConst {
-		res.Const[v] = false
-		delete(seeds, v)
+		res.Const.Remove(v)
+		seeds.Remove(v)
 	}
 
-	isConst := func(v ir.Value) bool { return res.Const[v] }
+	isConst := res.Const.Has
+	roots := &globalRoots{f: f, visited: ir.NewValueSet(nv)}
 	allConst := func(vs []ir.Value) bool {
 		for _, v := range vs {
 			if !isConst(v) {
@@ -195,6 +200,22 @@ func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Resul
 	reach := make([]Cond, len(blocks))
 	edge := make([]Cond, predBase[len(blocks)])
 	edgeOf := func(i, pi int) Cond { return edge[predBase[i]+pi] }
+	// The reachability iterations mostly recompute what they computed
+	// before. memo[succBase[i]+ti] is the last transfer across target ti
+	// of blocks[i], reused while its input is equal; written[slot] counts
+	// edge writes up to edge[slot]'s last change and derived[i] up to
+	// reach[i]'s last derivation (-1: derive again), so a merge none of
+	// whose incoming edges changed is skipped. Both are pure shortcuts:
+	// the conditions are immutable and the transfers deterministic.
+	type transfer struct {
+		in, out Cond
+		constBr bool
+		ok      bool
+	}
+	memo := make([]transfer, len(succEdge))
+	written := make([]int, len(edge))
+	derived := make([]int, len(blocks))
+	writes := 0
 
 	// Interleaved fixpoint: facts only move downward (const→nonconst,
 	// conditions toward weaker), so iteration terminates.
@@ -208,6 +229,9 @@ func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Resul
 		// --- Reachability pass (forward, least fixpoint over the region).
 		clear(reach)
 		clear(edge)
+		for i := range derived {
+			derived[i] = -1
+		}
 		if entry >= 0 {
 			reach[entry] = True()
 		}
@@ -224,17 +248,24 @@ func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Resul
 					if slot < 0 {
 						continue
 					}
-					ec := reach[i]
-					if constBr {
-						ec = ec.And(Atom{Block: b, Succ: ti})
+					m := &memo[succBase[i]+ti]
+					if !m.ok || m.constBr != constBr || !Equal(m.in, reach[i]) {
+						ec := reach[i]
+						if constBr {
+							ec = ec.And(Atom{Block: b, Succ: ti})
+						}
+						// Atoms of branches inside an unrolled loop describe
+						// a *per-iteration* outcome; once control leaves the
+						// loop they no longer denote a single fixed value,
+						// so strip them (weakening the condition, which is
+						// conservative).
+						ec = stripLeftLoopAtoms(ec, b, s)
+						*m = transfer{in: reach[i], out: ec, constBr: constBr, ok: true}
 					}
-					// Atoms of branches inside an unrolled loop describe a
-					// *per-iteration* outcome; once control leaves the loop
-					// they no longer denote a single fixed value, so strip
-					// them (weakening the condition, which is conservative).
-					ec = stripLeftLoopAtoms(ec, b, s)
-					if !Equal(edge[slot], ec) {
-						edge[slot] = ec
+					if !Equal(edge[slot], m.out) {
+						edge[slot] = m.out
+						writes++
+						written[slot] = writes
 						rchanged = true
 					}
 				}
@@ -243,6 +274,14 @@ func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Resul
 				if b == r.Entry {
 					continue
 				}
+				stale := derived[i] < 0
+				for pi := range b.Preds {
+					stale = stale || written[predBase[i]+pi] > derived[i]
+				}
+				if !stale {
+					continue
+				}
+				derived[i] = writes
 				nc := False()
 				for pi, p := range b.Preds {
 					if !inRegion(p) {
@@ -270,11 +309,11 @@ func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Resul
 		// --- Constant merges.
 		for i, b := range blocks {
 			cm := true
-			if loopHead[b] {
+			if loopHead[b.ID] {
 				res.ConstMerge[b] = true
 				continue
 			}
-			if ordinaryLoopHead[b] {
+			if ordinaryLoopHead[b.ID] {
 				res.ConstMerge[b] = false
 				continue
 			}
@@ -298,10 +337,7 @@ func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Resul
 		// --- Run-time constants pass (lower values per the flow rules).
 		for _, b := range blocks {
 			for _, in := range b.Instrs {
-				if in.Dst == 0 || !res.Const[in.Dst] {
-					continue
-				}
-				if seeds[in.Dst] {
+				if in.Dst == 0 || !res.Const.Has(in.Dst) || seeds.Has(in.Dst) {
 					continue
 				}
 				ok := false
@@ -316,7 +352,7 @@ func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Resul
 					// run-time constant. Constant global data is shared by
 					// passing an annotated pointer instead.
 					ok = !in.Dynamic && isConst(in.Args[0]) &&
-						!rootedAtGlobal(f, in.Args[0])
+						!roots.rootedAtGlobal(in.Args[0])
 				case ir.OpCall:
 					bi := ir.Builtins[in.Sym]
 					ok = bi != nil && bi.Pure && allConst(in.Args)
@@ -329,7 +365,7 @@ func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Resul
 					ok = in.Op.IsPureNonTrapping() && allConst(in.Args)
 				}
 				if !ok {
-					res.Const[in.Dst] = false
+					res.Const.Remove(in.Dst)
 					changed = true
 				}
 			}
@@ -378,33 +414,46 @@ func (res *Result) constPredicate(term *ir.Instr, isConst func(ir.Value) bool) b
 	return false
 }
 
+// globalRoots answers rootedAtGlobal queries for one function, reusing
+// one visited set: each walk clears the bits it set.
+type globalRoots struct {
+	f       *ir.Func
+	visited ir.ValueSet
+	trail   []ir.Value
+}
+
 // rootedAtGlobal reports whether the address computation of v involves a
 // global's address (bounded def-chain walk over pure address arithmetic).
-func rootedAtGlobal(f *ir.Func, v ir.Value) bool {
-	seen := map[ir.Value]bool{}
-	var walk func(v ir.Value, depth int) bool
-	walk = func(v ir.Value, depth int) bool {
-		if depth > 64 || seen[v] {
-			return false
-		}
-		seen[v] = true
-		def := f.DefOf(v)
-		if def == nil {
-			return false
-		}
-		switch def.Op {
-		case ir.OpGlobalAddr:
-			return true
-		case ir.OpCopy, ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpShl, ir.OpPhi:
-			for _, a := range def.Args {
-				if walk(a, depth+1) {
-					return true
-				}
-			}
-		}
+func (g *globalRoots) rootedAtGlobal(v ir.Value) bool {
+	found := g.walk(v, 0)
+	for _, u := range g.trail {
+		g.visited.Remove(u)
+	}
+	g.trail = g.trail[:0]
+	return found
+}
+
+func (g *globalRoots) walk(v ir.Value, depth int) bool {
+	if depth > 64 || g.visited.Has(v) {
 		return false
 	}
-	return walk(v, 0)
+	g.visited.Add(v)
+	g.trail = append(g.trail, v)
+	def := g.f.DefOf(v)
+	if def == nil {
+		return false
+	}
+	switch def.Op {
+	case ir.OpGlobalAddr:
+		return true
+	case ir.OpCopy, ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpShl, ir.OpPhi:
+		for _, a := range def.Args {
+			if g.walk(a, depth+1) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // stripLeftLoopAtoms removes, from cond, atoms whose branch lives in an

@@ -68,7 +68,7 @@ int f(int test, int other) {
 }`
 	f, res := analyzeRegion(t, src, "f")
 	phi := phiOf(t, f, res, "x")
-	if !res.Const[phi.Dst] {
+	if !res.Const.Has(phi.Dst) {
 		t.Error("x should be constant after a constant merge")
 	}
 	if !res.ConstMerge[phi.Blk] {
@@ -92,7 +92,7 @@ int f(int test, int c) {
 }`
 	f, res := analyzeRegion(t, src, "f")
 	phi := phiOf(t, f, res, "x")
-	if res.Const[phi.Dst] {
+	if res.Const.Has(phi.Dst) {
 		t.Error("x must not be constant after a non-constant merge")
 	}
 	if res.ConstMerge[phi.Blk] {
@@ -137,7 +137,7 @@ L:
 		for _, in := range b.Instrs {
 			if in.Op == ir.OpPhi && f.ValueInfo(in.Dst).Name == "x" {
 				count++
-				if !res.Const[in.Dst] {
+				if !res.Const.Has(in.Dst) {
 					t.Errorf("φ of x in b%d should be constant (unstructured reachability)", b.ID)
 				}
 			}
@@ -180,7 +180,7 @@ L:
 			continue
 		}
 		for _, in := range b.Instrs {
-			if in.Op == ir.OpPhi && f.ValueInfo(in.Dst).Name == "x" && !res.Const[in.Dst] {
+			if in.Op == ir.OpPhi && f.ValueInfo(in.Dst).Name == "x" && !res.Const.Has(in.Dst) {
 				anyNonConst = true
 			}
 		}
@@ -212,7 +212,7 @@ int f(struct Node *lst, int n) {
 	// A simpler canonical form: the classic i-induction variable.
 	f, res := analyzeRegion(t, src, "f")
 	phi := phiOf(t, f, res, "i")
-	if !res.Const[phi.Dst] {
+	if !res.Const.Has(phi.Dst) {
 		t.Error("unrolled loop induction variable must be constant")
 	}
 	if !res.ConstMerge[phi.Blk] {
@@ -237,7 +237,7 @@ int f(int c, int n) {
 }`
 	f, res := analyzeRegion(t, src, "f")
 	phi := phiOf(t, f, res, "i")
-	if res.Const[phi.Dst] {
+	if res.Const.Has(phi.Dst) {
 		t.Error("non-unrolled loop induction variable must not be constant")
 	}
 }
@@ -273,16 +273,16 @@ int f(int *p, int d) {
 		t.Fatalf("no value named %s", name)
 		return 0
 	}
-	if !res.Const[get("a")] {
+	if !res.Const.Has(get("a")) {
 		t.Error("a (load via const ptr) should be constant")
 	}
-	if res.Const[get("b")] {
+	if res.Const.Has(get("b")) {
 		t.Error("b (dynamic load) must not be constant")
 	}
-	if !res.Const[get("c")] {
+	if !res.Const.Has(get("c")) {
 		t.Error("c (derived arithmetic) should be constant")
 	}
-	if res.Const[get("e")] {
+	if res.Const.Has(get("e")) {
 		t.Error("e (division) must not be constant")
 	}
 }
@@ -310,7 +310,7 @@ int f(int c, int d) {
 			for _, in := range b.Instrs {
 				if in.Dst != 0 && f.ValueInfo(in.Dst).Name == name {
 					found = true
-					if !res.Const[in.Dst] {
+					if !res.Const.Has(in.Dst) {
 						t.Errorf("%s (pure builtin of const) should be constant", name)
 					}
 				}
@@ -351,14 +351,14 @@ int f(int c, int d) {
 			}
 		}
 	}
-	if !res.Const[aVal] {
+	if !res.Const.Has(aVal) {
 		t.Fatal("a should start constant")
 	}
 	res2, err := Analyze(f, r, map[ir.Value]bool{aVal: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Const[aVal] {
+	if res2.Const.Has(aVal) {
 		t.Error("forced demotion ignored")
 	}
 }

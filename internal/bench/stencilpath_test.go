@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-	"math/rand"
 	"testing"
 
 	"dyncc/internal/core"
@@ -32,14 +30,12 @@ func TestRegionsTakeStencilPath(t *testing.T) {
 	if testing.Short() {
 		n = 30
 	}
-	for seed := int64(1); seed <= n; seed++ {
-		src := testgen.Gen(rand.New(rand.NewSource(seed)))
-		calls := testgen.GenWith(rand.New(rand.NewSource(seed)), testgen.GenOpts{WithCalls: true})
-		subjects = append(subjects,
-			subject{fmt.Sprintf("gen seed %d", seed), src, dyn},
-			subject{fmt.Sprintf("calls seed %d", seed), calls, dyn},
-			subject{fmt.Sprintf("tenant seed %d", seed), testgen.Tenant(seed), dyn},
-			subject{fmt.Sprintf("stripped seed %d", seed), testgen.StripAnnotations(src), auto})
+	for _, p := range testgen.Corpus(n) {
+		cfg := dyn
+		if p.Auto {
+			cfg = auto
+		}
+		subjects = append(subjects, subject{p.Name, p.Src, cfg})
 	}
 	regions, autos := 0, 0
 	for _, s := range subjects {

@@ -62,7 +62,6 @@ func Compile(mod *ir.Module, splits map[*ir.Region]*split.Result, opts Options) 
 			mod: mod, f: f, fid: fi,
 			splits:    splits,
 			regionIdx: regionIdx,
-			labels:    map[*ir.Block]int{},
 			holes:     map[ir.Value]split.SlotRef{},
 			noFuse:    opts.NoFuse,
 		}
@@ -99,9 +98,10 @@ type funcGen struct {
 	splits    map[*ir.Region]*split.Result
 	regionIdx map[*ir.Region]int
 
-	alloc  *regalloc.Allocation
-	code   []vm.Inst
-	labels map[*ir.Block]int
+	alloc *regalloc.Allocation
+	code  []vm.Inst
+	// labels is each emitted block's pc, by Block.ID (-1: not emitted).
+	labels []int
 	fixups []struct {
 		pc  int
 		blk *ir.Block
@@ -154,10 +154,10 @@ func (fg *funcGen) gen() (*vm.Segment, []*tmpl.Region, error) {
 	// lack registers. Annotated constants defined in ordinary code (the
 	// seeds) are holes in templates *and* live register values elsewhere
 	// (set-up stores them into the table; keyed dispatch reads them).
-	holeSet := map[ir.Value]bool{}
+	holeSet := ir.NewValueSet(f.NumValues())
 	for v := range fg.holes {
 		if def := f.DefOf(v); def != nil && def.Blk != nil && def.Blk.Template {
-			holeSet[v] = true
+			holeSet.Add(v)
 		}
 	}
 	Legalize(f, fg.holes)
@@ -168,13 +168,13 @@ func (fg *funcGen) gen() (*vm.Segment, []*tmpl.Region, error) {
 	// not emitted. A region's set-up entry immediately follows its
 	// OpDynEnter block, which falls through into it.
 	var order []*ir.Block
-	seen := map[*ir.Block]bool{}
+	seen := make([]bool, f.NumBlockIDs())
 	var dfs func(b *ir.Block)
 	dfs = func(b *ir.Block) {
-		if seen[b] {
+		if seen[b.ID] {
 			return
 		}
-		seen[b] = true
+		seen[b.ID] = true
 		if !b.Template {
 			order = append(order, b)
 		}
@@ -199,8 +199,12 @@ func (fg *funcGen) gen() (*vm.Segment, []*tmpl.Region, error) {
 		}
 	}
 
+	fg.labels = make([]int, f.NumBlockIDs())
+	for i := range fg.labels {
+		fg.labels[i] = -1
+	}
 	for _, b := range order {
-		fg.labels[b] = len(fg.code)
+		fg.labels[b.ID] = len(fg.code)
 		rid, setup := fg.blockAttribution(b)
 		for _, in := range b.Instrs {
 			if err := fg.emitInstr(in, b, rid, setup); err != nil {
@@ -227,7 +231,7 @@ func (fg *funcGen) gen() (*vm.Segment, []*tmpl.Region, error) {
 	}
 	// Resolve region exit arcs now that function pcs are final.
 	for _, fx := range fg.exitFixups {
-		pc, ok := fg.labels[fx.target]
+		pc, ok := fg.label(fx.target)
 		if !ok {
 			return nil, nil, fmt.Errorf("region exit to unemitted block b%d", fx.target.ID)
 		}
@@ -246,7 +250,7 @@ func (fg *funcGen) gen() (*vm.Segment, []*tmpl.Region, error) {
 	for _, entries := range fg.tables {
 		tbl := make([]int, len(entries))
 		for i, blk := range entries {
-			pc, ok := fg.labels[blk]
+			pc, ok := fg.label(blk)
 			if !ok {
 				return nil, nil, fmt.Errorf("jump table entry to unemitted block b%d", blk.ID)
 			}
@@ -262,7 +266,7 @@ func (fg *funcGen) gen() (*vm.Segment, []*tmpl.Region, error) {
 		any := false
 		for _, r := range f.Regions {
 			if fg.splits[r] == nil {
-				if pc, ok := fg.labels[r.Entry]; ok {
+				if pc, ok := fg.label(r.Entry); ok {
 					entry[pc] = int32(fg.regionIdx[r])
 					any = true
 				}
@@ -274,6 +278,12 @@ func (fg *funcGen) gen() (*vm.Segment, []*tmpl.Region, error) {
 	}
 	seg.Prepare()
 	return seg, regions, nil
+}
+
+// label returns b's pc, and false when b was not emitted.
+func (fg *funcGen) label(b *ir.Block) (int, bool) {
+	pc := fg.labels[b.ID]
+	return pc, pc >= 0
 }
 
 // blockAttribution returns the region index (or -1) and set-up flag for

@@ -126,7 +126,7 @@ func (fg *funcGen) branchTo(in vm.Inst, target *ir.Block) {
 
 func (fg *funcGen) resolveFixups() {
 	for _, fx := range fg.fixups {
-		t, ok := fg.labels[fx.blk]
+		t, ok := fg.label(fx.blk)
 		if !ok {
 			// Branch into a template block: never executed directly (the
 			// runtime transfers control); park it on itself.
@@ -201,8 +201,10 @@ func (fg *funcGen) peephole() {
 		}
 	}
 	fg.code, fg.regionOf, fg.setupOf = code, regionOf, setupOf
-	for b, pc := range fg.labels {
-		fg.labels[b] = newpc[pc]
+	for id, pc := range fg.labels {
+		if pc >= 0 {
+			fg.labels[id] = newpc[pc]
+		}
 	}
 }
 
@@ -217,13 +219,15 @@ func (fg *funcGen) fuse() {
 	}
 	leaders := make([]int, 0, len(fg.labels))
 	for _, pc := range fg.labels {
-		leaders = append(leaders, pc)
+		if pc >= 0 {
+			leaders = append(leaders, pc)
+		}
 	}
 	var entries []int
 	if fg.static {
 		for _, r := range fg.f.Regions {
 			if fg.splits[r] == nil {
-				if pc, ok := fg.labels[r.Entry]; ok {
+				if pc, ok := fg.label(r.Entry); ok {
 					entries = append(entries, pc)
 				}
 			}
@@ -236,8 +240,10 @@ func (fg *funcGen) fuse() {
 		EntryPCs: entries,
 	})
 	fg.code, fg.regionOf, fg.setupOf = fr.Code, fr.RegionOf, fr.SetupOf
-	for b, pc := range fg.labels {
-		fg.labels[b] = fr.PCMap[pc]
+	for id, pc := range fg.labels {
+		if pc >= 0 {
+			fg.labels[id] = fr.PCMap[pc]
+		}
 	}
 }
 
@@ -269,7 +275,7 @@ func (fg *funcGen) emitTemplates(r *ir.Region, sr *split.Result) (*tmpl.Region, 
 		// emitTemplates runs after fuse(), so labels are final. A failed
 		// guard re-runs set-up with the live key values and reaches
 		// DYNSTITCH, which routes to the generic tier for that call.
-		pc, ok := fg.labels[sr.SetupEntry]
+		pc, ok := fg.label(sr.SetupEntry)
 		if !ok {
 			return nil, fmt.Errorf("auto region %s: set-up entry not emitted", tr.Name)
 		}
@@ -278,20 +284,22 @@ func (fg *funcGen) emitTemplates(r *ir.Region, sr *split.Result) (*tmpl.Region, 
 
 	// Collect template blocks reachable from the template entry.
 	var blocks []*ir.Block
-	index := map[*ir.Block]int{}
+	index := make([]int, fg.f.NumBlockIDs()) // position in blocks plus one, by Block.ID
 	var collect func(b *ir.Block)
 	collect = func(b *ir.Block) {
-		if _, ok := index[b]; ok || !b.Template {
+		if index[b.ID] > 0 || !b.Template {
 			return
 		}
-		index[b] = len(blocks)
+		index[b.ID] = len(blocks) + 1
 		blocks = append(blocks, b)
 		for _, s := range b.Succs() {
 			collect(s)
 		}
 	}
 	collect(sr.TemplateEntry)
-	tr.Entry = index[sr.TemplateEntry]
+	// pos is b's position in blocks, 0 for a block not collected.
+	pos := func(b *ir.Block) int { return max(index[b.ID]-1, 0) }
+	tr.Entry = pos(sr.TemplateEntry)
 
 	loopIdx := map[*ir.Loop]int{}
 	for _, l := range r.Loops {
@@ -314,11 +322,11 @@ func (fg *funcGen) emitTemplates(r *ir.Region, sr *split.Result) (*tmpl.Region, 
 			return nil, fmt.Errorf("template block b%d lacks terminator", b.ID)
 		}
 		edge := func(t *ir.Block, si int) tmpl.Edge {
-			if ti, ok := index[t]; ok {
-				return tmpl.Edge{Block: ti}
+			if ti := index[t.ID]; ti > 0 {
+				return tmpl.Edge{Block: ti - 1}
 			}
 			fg.exitFixups = append(fg.exitFixups, exitFixup{
-				region: tr, blk: index[b], succ: si, target: t,
+				region: tr, blk: pos(b), succ: si, target: t,
 			})
 			return tmpl.Edge{Block: -1}
 		}
@@ -365,8 +373,8 @@ func (fg *funcGen) emitTemplates(r *ir.Region, sr *split.Result) (*tmpl.Region, 
 			ParentID:   -1,
 			NextSlot:   sr.NextSlot[l],
 			RecordSize: l.RecordSize,
-			HeadBlock:  index[l.Head],
-			LatchBlock: index[l.Latch],
+			HeadBlock:  pos(l.Head),
+			LatchBlock: pos(l.Latch),
 		}
 		if l.Parent != nil {
 			tl.ParentID = l.Parent.ID

@@ -3,33 +3,37 @@ package ir
 // Dominance computation (Cooper/Harvey/Kennedy iterative algorithm) and
 // CFG-editing helpers.
 
-// DomTree holds immediate dominators and dominance frontiers.
+// DomTree holds immediate dominators and dominance frontiers. Every table
+// is indexed by Block.ID and sized NumBlockIDs at construction.
 type DomTree struct {
-	Idom     map[*Block]*Block   // immediate dominator (nil for entry)
-	Children map[*Block][]*Block // dominator-tree children
-	Frontier map[*Block][]*Block // dominance frontier
-	rpoIndex map[*Block]int
+	Idom     []*Block   // immediate dominator (nil for entry and unreachable blocks)
+	Children [][]*Block // dominator-tree children, in reverse postorder
+	Frontier [][]*Block // dominance frontier
 }
 
 // BuildDomTree computes the dominator tree and dominance frontiers for the
 // blocks reachable from f's entry.
 func BuildDomTree(f *Func) *DomTree {
 	rpo := f.ReversePostorder()
-	idx := make(map[*Block]int, len(rpo))
-	for i, b := range rpo {
-		idx[b] = i
+	nb := f.numBlocks
+	idx := make([]int32, nb) // position in reverse postorder, -1 when unreachable
+	for i := range idx {
+		idx[i] = -1
 	}
-	idom := make(map[*Block]*Block, len(rpo))
+	for i, b := range rpo {
+		idx[b.ID] = int32(i)
+	}
+	idom := make([]*Block, nb)
 	entry := f.Entry()
-	idom[entry] = entry
+	idom[entry.ID] = entry
 
 	intersect := func(a, b *Block) *Block {
 		for a != b {
-			for idx[a] > idx[b] {
-				a = idom[a]
+			for idx[a.ID] > idx[b.ID] {
+				a = idom[a.ID]
 			}
-			for idx[b] > idx[a] {
-				b = idom[b]
+			for idx[b.ID] > idx[a.ID] {
+				b = idom[b.ID]
 			}
 		}
 		return a
@@ -44,7 +48,7 @@ func BuildDomTree(f *Func) *DomTree {
 			}
 			var newIdom *Block
 			for _, p := range b.Preds {
-				if idom[p] == nil {
+				if idom[p.ID] == nil {
 					continue // unreachable or not yet processed
 				}
 				if newIdom == nil {
@@ -53,51 +57,92 @@ func BuildDomTree(f *Func) *DomTree {
 					newIdom = intersect(p, newIdom)
 				}
 			}
-			if newIdom != nil && idom[b] != newIdom {
-				idom[b] = newIdom
+			if newIdom != nil && idom[b.ID] != newIdom {
+				idom[b.ID] = newIdom
 				changed = true
 			}
 		}
 	}
-	idom[entry] = nil
+	idom[entry.ID] = nil
 
-	t := &DomTree{
-		Idom:     idom,
-		Children: map[*Block][]*Block{},
-		Frontier: map[*Block][]*Block{},
-		rpoIndex: idx,
-	}
+	// Children, in reverse postorder.
+	kids := make(adjacency, 0, len(rpo))
 	for _, b := range rpo {
-		if d := idom[b]; d != nil {
-			t.Children[d] = append(t.Children[d], b)
+		if d := idom[b.ID]; d != nil {
+			kids.add(d, b)
 		}
 	}
-	// Dominance frontiers.
+	// Dominance frontiers. All insertions of b happen while b is the merge
+	// being processed, so a duplicate is always the runner's last entry.
+	df := make(adjacency, 0, len(rpo))
 	for _, b := range rpo {
 		if len(b.Preds) < 2 {
 			continue
 		}
 		for _, p := range b.Preds {
-			if _, ok := idx[p]; !ok {
+			if idx[p.ID] < 0 {
 				continue
 			}
 			runner := p
-			for runner != nil && runner != idom[b] {
-				t.addFrontier(runner, b)
-				runner = idom[runner]
+			for runner != nil && runner != idom[b.ID] {
+				df.addOnce(runner, b)
+				runner = idom[runner.ID]
 			}
 		}
 	}
-	return t
+	return &DomTree{
+		Idom:     idom,
+		Children: kids.lists(nb),
+		Frontier: df.lists(nb),
+	}
 }
 
-func (t *DomTree) addFrontier(b, f *Block) {
-	for _, x := range t.Frontier[b] {
-		if x == f {
+// adjacency collects (from, to) block pairs and lays them out as one list
+// per from-block, in insertion order, over a single backing array.
+type adjacency []struct{ from, to *Block }
+
+func (a *adjacency) add(from, to *Block) {
+	*a = append(*a, struct{ from, to *Block }{from, to})
+}
+
+// addOnce adds the pair unless to is already from's latest entry.
+func (a *adjacency) addOnce(from, to *Block) {
+	for i := len(*a) - 1; i >= 0 && (*a)[i].to == to; i-- {
+		if (*a)[i].from == from {
 			return
 		}
 	}
-	t.Frontier[b] = append(t.Frontier[b], f)
+	a.add(from, to)
+}
+
+// lists returns the per-block lists indexed by Block.ID (nb entries).
+func (a adjacency) lists(nb int) [][]*Block {
+	out := make([][]*Block, nb)
+	if len(a) == 0 {
+		return out
+	}
+	// fill[id] starts as the offset of id's list (a prefix sum of counts).
+	fill := make([]int32, nb+1)
+	for _, e := range a {
+		fill[e.from.ID+1]++
+	}
+	for i := 1; i <= nb; i++ {
+		fill[i] += fill[i-1]
+	}
+	backing := make([]*Block, len(a))
+	for _, e := range a {
+		backing[fill[e.from.ID]] = e.to
+		fill[e.from.ID]++
+	}
+	// fill[id] is now the end of id's list, and the start of id+1's.
+	start := int32(0)
+	for id := range out {
+		if e := fill[id]; e > start {
+			out[id] = backing[start:e:e]
+			start = e
+		}
+	}
+	return out
 }
 
 // Dominates reports whether a dominates b (reflexively).
@@ -106,7 +151,7 @@ func (t *DomTree) Dominates(a, b *Block) bool {
 		if a == b {
 			return true
 		}
-		b = t.Idom[b]
+		b = t.Idom[b.ID]
 	}
 	return false
 }

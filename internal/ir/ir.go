@@ -10,7 +10,6 @@ package ir
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"dyncc/internal/token"
@@ -416,7 +415,7 @@ func (f *Func) ComputePreds() {
 // ReversePostorder returns blocks reachable from entry in reverse postorder.
 func (f *Func) ReversePostorder() []*Block {
 	seen := make([]bool, f.numBlocks)
-	var order []*Block
+	order := make([]*Block, 0, len(f.Blocks))
 	var dfs func(b *Block)
 	dfs = func(b *Block) {
 		seen[b.ID] = true
@@ -437,14 +436,14 @@ func (f *Func) ReversePostorder() []*Block {
 // RemoveUnreachable deletes blocks not reachable from entry, fixing Preds
 // and φ arguments of surviving blocks.
 func (f *Func) RemoveUnreachable() {
-	reach := map[*Block]bool{}
+	reach := make([]bool, f.numBlocks) // by Block.ID
 	for _, b := range f.ReversePostorder() {
-		reach[b] = true
+		reach[b.ID] = true
 	}
 	for _, b := range f.Blocks {
-		if !reach[b] {
+		if !reach[b.ID] {
 			for _, s := range b.Succs() {
-				if reach[s] {
+				if reach[s.ID] {
 					s.RemovePred(b)
 				}
 			}
@@ -452,7 +451,7 @@ func (f *Func) RemoveUnreachable() {
 	}
 	var keep []*Block
 	for _, b := range f.Blocks {
-		if reach[b] {
+		if reach[b.ID] {
 			keep = append(keep, b)
 		}
 	}
@@ -580,15 +579,4 @@ func (in *Instr) String() string {
 		return rhs
 	}
 	return fmt.Sprintf("%s = %s", v(in.Dst), rhs)
-}
-
-// SortedValues returns values in ascending order (helper for deterministic
-// iteration over value sets in maps).
-func SortedValues(m map[Value]bool) []Value {
-	vs := make([]Value, 0, len(m))
-	for v := range m {
-		vs = append(vs, v)
-	}
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	return vs
 }

@@ -31,12 +31,12 @@ func buildDiamond() (*Func, []*Block) {
 func TestDominators(t *testing.T) {
 	f, bs := buildDiamond()
 	dt := BuildDomTree(f)
-	if dt.Idom[bs[0]] != nil {
+	if dt.Idom[bs[0].ID] != nil {
 		t.Error("entry should have no idom")
 	}
 	for _, b := range bs[1:] {
-		if dt.Idom[b] != bs[0] {
-			t.Errorf("idom(b%d) = %v, want b0", b.ID, dt.Idom[b])
+		if dt.Idom[b.ID] != bs[0] {
+			t.Errorf("idom(b%d) = %v, want b0", b.ID, dt.Idom[b.ID])
 		}
 	}
 	if !dt.Dominates(bs[0], bs[3]) {
@@ -47,7 +47,7 @@ func TestDominators(t *testing.T) {
 	}
 	// Dominance frontier of b1 and b2 is {b3}.
 	for _, b := range bs[1:3] {
-		df := dt.Frontier[b]
+		df := dt.Frontier[b.ID]
 		if len(df) != 1 || df[0] != bs[3] {
 			t.Errorf("DF(b%d) = %v", b.ID, df)
 		}

@@ -4,6 +4,8 @@ package ir
 // frontiers, then renaming along the dominator tree) and destruction
 // (two-stage copy insertion, swap- and lost-copy-safe).
 
+import "slices"
+
 // BuildSSA converts f from multiply-assigned virtual registers into SSA
 // form (pruned: φs are only inserted where the variable is live). It also
 // resolves each region's annotated constant/key variables to the SSA values
@@ -14,36 +16,52 @@ func BuildSSA(f *Func) {
 	}
 	f.RemoveUnreachable()
 	dt := BuildDomTree(f)
-	liveIn := blockLiveIn(f)
+	live := ComputeLiveness(f, nil)
+	nvars := f.NumValues()
 
-	// Collect definition sites per variable.
-	defSites := map[Value][]*Block{}
+	// Definition sites per variable, in block order, flattened: siteEnd
+	// first holds a prefix sum of counts (v's first slot at siteEnd[v]);
+	// filling advances each entry to v's end, after which the sites of v
+	// are sites[siteEnd[v-1]:siteEnd[v]].
+	siteEnd := make([]int32, nvars+1)
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if in.Dst != 0 {
-				defSites[in.Dst] = append(defSites[in.Dst], b)
+				siteEnd[in.Dst+1]++
+			}
+		}
+	}
+	for v := 1; v <= nvars; v++ {
+		siteEnd[v] += siteEnd[v-1]
+	}
+	sites := make([]*Block, siteEnd[nvars])
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.Dst != 0 {
+				sites[siteEnd[in.Dst]] = b
+				siteEnd[in.Dst]++
 			}
 		}
 	}
 
 	// Insert φ nodes at iterated dominance frontiers (pruned by liveness:
 	// without pruning, every switch-arm temporary grows a dead φ web
-	// around enclosing loop heads).
-	// phiVar records which original variable each φ merges.
-	phiVar := map[*Instr]Value{}
-	for _, v := range SortedValues(boolKeys(defSites)) {
-		sites := defSites[v]
-		hasPhi := map[*Block]bool{}
-		work := append([]*Block(nil), sites...)
+	// around enclosing loop heads). hasPhi[id] is the last variable that
+	// was given, or denied, a φ at block id.
+	hasPhi := make([]Value, f.numBlocks)
+	ndefs := int(siteEnd[nvars])
+	var work []*Block
+	for v := Value(1); int(v) < nvars; v++ {
+		work = append(work[:0], sites[siteEnd[v-1]:siteEnd[v]]...)
 		for len(work) > 0 {
 			b := work[len(work)-1]
 			work = work[:len(work)-1]
-			for _, df := range dt.Frontier[b] {
-				if hasPhi[df] {
+			for _, df := range dt.Frontier[b.ID] {
+				if hasPhi[df.ID] == v {
 					continue
 				}
-				hasPhi[df] = true
-				if !liveIn[df][v] {
+				hasPhi[df.ID] = v
+				if !live.In(df).Has(v) {
 					// The variable is dead here; a φ would only feed
 					// further dead φs. Still propagate the def site so
 					// deeper frontiers are considered.
@@ -60,33 +78,36 @@ func BuildSSA(f *Func) {
 					phi.Args[i] = v
 				}
 				df.InsertBefore(0, phi)
-				phiVar[phi] = v
+				ndefs++
 				work = append(work, df)
 			}
 		}
 	}
 
-	// Rename.
-	stacks := map[Value][]Value{}
+	// Rename. cur[v] is the SSA value of variable v reaching the block
+	// being renamed (0: none yet); undo logs each overwrite so leaving a
+	// dominator subtree restores its parent's view.
+	cur := make([]Value, nvars)
+	f.vals = slices.Grow(f.vals, ndefs) // renaming gives every definition a new value
+	type undo struct{ v, prev Value }
+	var log []undo
 	top := func(v Value) Value {
-		s := stacks[v]
-		if len(s) == 0 {
-			// Use of a variable with no dominating definition (e.g. a
-			// parameter, or uninitialized along some path): parameters are
-			// pre-pushed below; otherwise keep the original id, which acts
-			// as an implicit entry definition of an undefined value.
-			return v
+		if int(v) < len(cur) && cur[v] != 0 {
+			return cur[v]
 		}
-		return s[len(s)-1]
+		// Use of a variable with no dominating definition (e.g. a
+		// parameter, or uninitialized along some path): keep the original
+		// id, which acts as an implicit entry definition of an undefined
+		// value.
+		return v
 	}
 	for _, p := range f.Params {
-		stacks[p] = []Value{p}
 		f.vals[p].Def = nil
 	}
 
 	var rename func(b *Block)
 	rename = func(b *Block) {
-		var pushed []Value
+		mark := len(log)
 		for _, in := range b.Instrs {
 			if in.Op != OpPhi {
 				for i, a := range in.Args {
@@ -99,11 +120,8 @@ func BuildSSA(f *Func) {
 				nv := f.NewValue(info.Name, info.Typ)
 				in.Dst = nv
 				f.vals[nv].Def = in
-				stacks[orig] = append(stacks[orig], nv)
-				pushed = append(pushed, orig)
-				if in.Op == OpPhi {
-					phiVar[in] = orig
-				}
+				log = append(log, undo{orig, cur[orig]})
+				cur[orig] = nv
 			}
 		}
 		// Resolve region annotations at region entries: the SSA values of
@@ -120,84 +138,30 @@ func BuildSSA(f *Func) {
 				}
 			}
 		}
-		// Fill φ args of successors.
+		// Fill φ args of successors. Until its edge is filled, a φ's
+		// argument still names the variable the φ merges.
 		for _, s := range b.Succs() {
 			pi := s.predIndex(b)
 			if pi < 0 {
 				continue
 			}
-			for _, phi := range s.Phis() {
-				v := phiVar[phi]
-				if v == 0 {
-					v = phi.Args[pi] // already-renamed variable id
+			for _, phi := range s.Instrs {
+				if phi.Op != OpPhi {
+					break
 				}
-				phi.Args[pi] = top(v)
+				phi.Args[pi] = top(phi.Args[pi])
 			}
 		}
-		for _, c := range dt.Children[b] {
+		for _, c := range dt.Children[b.ID] {
 			rename(c)
 		}
-		for _, v := range pushed {
-			stacks[v] = stacks[v][:len(stacks[v])-1]
+		for i := len(log) - 1; i >= mark; i-- {
+			cur[log[i].v] = log[i].prev
 		}
+		log = log[:mark]
 	}
 	rename(f.Entry())
 	f.SSA = true
-}
-
-// blockLiveIn computes, pre-SSA, which variables are live at each block
-// entry (classic backward union dataflow over variables).
-func blockLiveIn(f *Func) map[*Block]map[Value]bool {
-	use := map[*Block]map[Value]bool{}
-	def := map[*Block]map[Value]bool{}
-	for _, b := range f.Blocks {
-		u, d := map[Value]bool{}, map[Value]bool{}
-		for _, in := range b.Instrs {
-			for _, a := range in.Args {
-				if a != 0 && !d[a] {
-					u[a] = true
-				}
-			}
-			if in.Dst != 0 {
-				d[in.Dst] = true
-			}
-		}
-		use[b], def[b] = u, d
-	}
-	liveIn := map[*Block]map[Value]bool{}
-	for _, b := range f.Blocks {
-		liveIn[b] = map[Value]bool{}
-	}
-	for changed := true; changed; {
-		changed = false
-		for i := len(f.Blocks) - 1; i >= 0; i-- {
-			b := f.Blocks[i]
-			in := liveIn[b]
-			for _, s := range b.Succs() {
-				for v := range liveIn[s] {
-					if !def[b][v] && !in[v] {
-						in[v] = true
-						changed = true
-					}
-				}
-			}
-			for v := range use[b] {
-				if !in[v] {
-					in[v] = true
-					changed = true
-				}
-			}
-		}
-	}
-	return liveIn
-}
-
-func boolKeys(m map[Value][]*Block) map[Value]bool {
-	r := make(map[Value]bool, len(m))
-	for k := range m {
-		r[k] = true
-	}
-	return r
 }
 
 // DestroySSA eliminates φ instructions by inserting copies. Critical edges

@@ -9,11 +9,20 @@ func Verify(f *Func) error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("%s: no blocks", f.Name)
 	}
-	blockSet := map[*Block]bool{}
+	// Block membership by ID with a pointer check (a removed block keeps
+	// its ID), and SSA definitions as a bitset: the first definition of a
+	// redefined value is looked up again only to report the error.
+	member := make([]*Block, f.numBlocks)
 	for _, b := range f.Blocks {
-		blockSet[b] = true
+		if uint(b.ID) < uint(len(member)) {
+			member[b.ID] = b
+		}
 	}
-	defs := map[Value]*Instr{}
+	isMember := func(b *Block) bool { return uint(b.ID) < uint(len(member)) && member[b.ID] == b }
+	var defs ValueSet
+	if f.SSA {
+		defs = NewValueSet(f.NumValues())
+	}
 	for _, b := range f.Blocks {
 		if len(b.Instrs) == 0 {
 			return fmt.Errorf("%s b%d: empty block", f.Name, b.ID)
@@ -40,7 +49,7 @@ func Verify(f *Func) error {
 				}
 			}
 			for _, tg := range in.Targets {
-				if !blockSet[tg] {
+				if !isMember(tg) {
 					return fmt.Errorf("%s b%d: branch to removed block b%d", f.Name, b.ID, tg.ID)
 				}
 				found := false
@@ -58,11 +67,11 @@ func Verify(f *Func) error {
 					return fmt.Errorf("%s b%d: dst v%d out of range", f.Name, b.ID, in.Dst)
 				}
 				if f.SSA {
-					if prev, ok := defs[in.Dst]; ok {
+					if defs.Has(in.Dst) {
 						return fmt.Errorf("%s b%d: v%d redefined (first at %s)",
-							f.Name, b.ID, in.Dst, prev)
+							f.Name, b.ID, in.Dst, firstDef(f, in.Dst))
 					}
-					defs[in.Dst] = in
+					defs.Add(in.Dst)
 				}
 			}
 			for _, a := range in.Args {
@@ -72,7 +81,7 @@ func Verify(f *Func) error {
 			}
 		}
 		for _, p := range b.Preds {
-			if !blockSet[p] {
+			if !isMember(p) {
 				return fmt.Errorf("%s b%d: stale pred b%d", f.Name, b.ID, p.ID)
 			}
 			ok := false
@@ -83,6 +92,18 @@ func Verify(f *Func) error {
 			}
 			if !ok {
 				return fmt.Errorf("%s b%d: pred b%d has no edge here", f.Name, b.ID, p.ID)
+			}
+		}
+	}
+	return nil
+}
+
+// firstDef returns the first instruction, in block order, defining v.
+func firstDef(f *Func, v Value) *Instr {
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.Dst == v {
+				return in
 			}
 		}
 	}

@@ -454,7 +454,7 @@ func CSE(f *ir.Func) int {
 			avail[k] = append(avail[k], in.Dst)
 			pushed = append(pushed, k)
 		}
-		for _, c := range dt.Children[b] {
+		for _, c := range dt.Children[b.ID] {
 			removed += walk(c)
 		}
 		for _, k := range pushed {
@@ -479,11 +479,11 @@ func pure(in *ir.Instr) bool {
 // DCE removes pure instructions whose results are never used, with
 // mark-and-sweep so that mutually-referencing dead φ cycles die too.
 func DCE(f *ir.Func) int {
-	live := map[ir.Value]bool{}
+	live := ir.NewValueSet(f.NumValues())
 	var work []ir.Value
 	mark := func(v ir.Value) {
-		if v != 0 && !live[v] {
-			live[v] = true
+		if v != 0 && !live.Has(v) {
+			live.Add(v)
 			work = append(work, v)
 		}
 	}
@@ -523,7 +523,7 @@ func DCE(f *ir.Func) int {
 	for _, b := range f.Blocks {
 		kept := b.Instrs[:0]
 		for _, in := range b.Instrs {
-			if in.Dst != 0 && !live[in.Dst] && removable(in) {
+			if in.Dst != 0 && !live.Has(in.Dst) && removable(in) {
 				n++
 				continue
 			}

@@ -6,8 +6,10 @@
 package regalloc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"dyncc/internal/ir"
 	"dyncc/internal/vm"
@@ -22,7 +24,9 @@ type Loc struct {
 
 // Allocation maps values to locations.
 type Allocation struct {
-	Loc       map[ir.Value]Loc
+	// Loc is indexed by Value: the zero Loc (no register, not spilled)
+	// for holes and values that are never live.
+	Loc       []Loc
 	FrameSize int // total stack words incl. spills
 }
 
@@ -47,35 +51,29 @@ func pool() []vm.Reg {
 	return rs
 }
 
-// holeSet is the set of values that are template holes (no register).
-type holeSet map[ir.Value]bool
+// Allocate assigns registers (or spill slots) to every value of f. holes
+// lists values that are table holes and take no register. Its tables
+// (intervals by value, live sets by block) belong to the call.
+func Allocate(f *ir.Func, holes ir.ValueSet) *Allocation {
+	live := ir.ComputeLiveness(f, holes)
 
-// Allocate assigns registers (or spill slots) to every value of f.
-// holes lists values that are table holes and take no register.
-func Allocate(f *ir.Func, holes map[ir.Value]bool) *Allocation {
-	hs := holeSet(holes)
-	order := blockOrder(f)
-	liveIn, liveOut := liveness(f, order, hs)
-
-	// Build conservative single-range intervals.
+	// Build conservative single-range intervals, by value; start < 0
+	// marks a value never touched.
 	type interval struct {
 		v          ir.Value
 		start, end int
 	}
-	pos := map[*ir.Block]int{}
-	n := 0
-	for _, b := range order {
-		pos[b] = n
-		n += len(b.Instrs) + 1
+	iv := make([]interval, f.NumValues())
+	for i := range iv {
+		iv[i] = interval{v: ir.Value(i), start: -1}
 	}
-	iv := map[ir.Value]*interval{}
 	touch := func(v ir.Value, p int) {
-		if v == 0 || hs[v] {
+		if v == 0 || holes.Has(v) {
 			return
 		}
-		i := iv[v]
-		if i == nil {
-			iv[v] = &interval{v: v, start: p, end: p}
+		i := &iv[v]
+		if i.start < 0 {
+			i.start, i.end = p, p
 			return
 		}
 		if p < i.start {
@@ -90,19 +88,23 @@ func Allocate(f *ir.Func, holes map[ir.Value]bool) *Allocation {
 	for _, p := range f.Params {
 		touch(p, 0)
 	}
-	for _, b := range order {
-		bs := pos[b]
+	// Positions number the instructions of f.Blocks, the layout order,
+	// with one extra slot per block.
+	bs := 0
+	for _, b := range f.Blocks {
 		be := bs + len(b.Instrs)
 		// A value live across either block boundary is live at that
 		// boundary position: without this, a value entering a block and
 		// used mid-block would leave its head span uncovered and another
 		// definition could steal its register.
-		for v := range liveIn[b] {
-			touch(v, bs)
-		}
-		for v := range liveOut[b] {
-			touch(v, bs)
-			touch(v, be)
+		in, out := live.In(b), live.Out(b)
+		for k := range in {
+			for w := in[k] | out[k]; w != 0; w &= w - 1 {
+				touch(ir.Value(k<<6|bits.TrailingZeros64(w)), bs)
+			}
+			for w := out[k]; w != 0; w &= w - 1 {
+				touch(ir.Value(k<<6|bits.TrailingZeros64(w)), be)
+			}
 		}
 		for k, in := range b.Instrs {
 			p := bs + k
@@ -111,20 +113,20 @@ func Allocate(f *ir.Func, holes map[ir.Value]bool) *Allocation {
 				touch(a, p)
 			}
 		}
+		bs = be + 1
 	}
 
-	ivs := make([]*interval, 0, len(iv))
-	for _, i := range iv {
-		ivs = append(ivs, i)
-	}
-	sort.Slice(ivs, func(a, b int) bool {
-		if ivs[a].start != ivs[b].start {
-			return ivs[a].start < ivs[b].start
+	// Intervals in start order, ties by value: collected in value order,
+	// then stably sorted by start.
+	var ivs []*interval
+	for i := range iv {
+		if iv[i].start >= 0 {
+			ivs = append(ivs, &iv[i])
 		}
-		return ivs[a].v < ivs[b].v
-	})
+	}
+	slices.SortStableFunc(ivs, func(a, b *interval) int { return cmp.Compare(a.start, b.start) })
 
-	alloc := &Allocation{Loc: map[ir.Value]Loc{}, FrameSize: f.StackSize}
+	alloc := &Allocation{Loc: make([]Loc, len(iv)), FrameSize: f.StackSize}
 	free := pool()
 	type active struct {
 		iv  *interval
@@ -153,28 +155,21 @@ func Allocate(f *ir.Func, holes map[ir.Value]bool) *Allocation {
 		if !Verify {
 			return
 		}
-		type assigned struct {
-			iv  *interval
-			reg vm.Reg
-		}
-		var as []assigned
+		// No two intervals sharing a register overlap. ivs is in start
+		// order, so an interval overlaps an earlier one on its register
+		// iff it starts at or before the furthest end seen there.
+		var last [vm.NumRegs]*interval
 		for _, i := range ivs {
 			l := alloc.Loc[i.v]
 			if l.Spilled || l.Reg == 0 {
 				continue
 			}
-			as = append(as, assigned{i, l.Reg})
-		}
-		for x := 0; x < len(as); x++ {
-			for y := x + 1; y < len(as); y++ {
-				if as[x].reg != as[y].reg {
-					continue
-				}
-				a, b := as[x].iv, as[y].iv
-				if a.start <= b.end && b.start <= a.end {
-					panic(fmt.Sprintf("regalloc: %s: v%d [%d,%d] and v%d [%d,%d] share r%d",
-						f.Name, a.v, a.start, a.end, b.v, b.start, b.end, as[x].reg))
-				}
+			if a := last[l.Reg]; a != nil && i.start <= a.end {
+				panic(fmt.Sprintf("regalloc: %s: v%d [%d,%d] and v%d [%d,%d] share r%d",
+					f.Name, a.v, a.start, a.end, i.v, i.start, i.end, l.Reg))
+			}
+			if a := last[l.Reg]; a == nil || i.end > a.end {
+				last[l.Reg] = i
 			}
 		}
 	}()
@@ -205,65 +200,4 @@ func Allocate(f *ir.Func, holes map[ir.Value]bool) *Allocation {
 		}
 	}
 	return alloc
-}
-
-// blockOrder returns all blocks in a deterministic layout order.
-func blockOrder(f *ir.Func) []*ir.Block {
-	return f.Blocks
-}
-
-// liveness computes per-block live-out sets (backward union dataflow).
-// Hole values are excluded.
-func liveness(f *ir.Func, order []*ir.Block, hs holeSet) (map[*ir.Block]map[ir.Value]bool, map[*ir.Block]map[ir.Value]bool) {
-	use := map[*ir.Block]map[ir.Value]bool{}
-	def := map[*ir.Block]map[ir.Value]bool{}
-	for _, b := range order {
-		u, d := map[ir.Value]bool{}, map[ir.Value]bool{}
-		for _, in := range b.Instrs {
-			for _, a := range in.Args {
-				if a != 0 && !hs[a] && !d[a] {
-					u[a] = true
-				}
-			}
-			if in.Dst != 0 {
-				d[in.Dst] = true
-			}
-		}
-		use[b], def[b] = u, d
-	}
-	liveIn := map[*ir.Block]map[ir.Value]bool{}
-	liveOut := map[*ir.Block]map[ir.Value]bool{}
-	for _, b := range order {
-		liveIn[b] = map[ir.Value]bool{}
-		liveOut[b] = map[ir.Value]bool{}
-	}
-	for changed := true; changed; {
-		changed = false
-		for k := len(order) - 1; k >= 0; k-- {
-			b := order[k]
-			out := liveOut[b]
-			for _, s := range b.Succs() {
-				for v := range liveIn[s] {
-					if !out[v] {
-						out[v] = true
-						changed = true
-					}
-				}
-			}
-			in := liveIn[b]
-			for v := range use[b] {
-				if !in[v] {
-					in[v] = true
-					changed = true
-				}
-			}
-			for v := range out {
-				if !def[b][v] && !in[v] {
-					in[v] = true
-					changed = true
-				}
-			}
-		}
-	}
-	return liveIn, liveOut
 }

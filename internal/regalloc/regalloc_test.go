@@ -73,8 +73,10 @@ func TestHolesGetNoRegisters(t *testing.T) {
 	b.Append(&ir.Instr{Op: ir.OpAdd, Args: []ir.Value{p, hole}, Dst: v, Typ: types.IntType})
 	b.Append(&ir.Instr{Op: ir.OpRet, Args: []ir.Value{v}})
 	f.ComputePreds()
-	a := Allocate(f, map[ir.Value]bool{hole: true})
-	if loc, ok := a.Loc[hole]; ok && (loc.Reg != 0 || loc.Spilled) {
+	holes := ir.NewValueSet(f.NumValues())
+	holes.Add(hole)
+	a := Allocate(f, holes)
+	if loc := a.Loc[hole]; loc.Reg != 0 || loc.Spilled {
 		t.Errorf("hole allocated a location: %+v", loc)
 	}
 }

@@ -45,11 +45,11 @@ func build(f *ir.Func, r *ir.Region, res *analysis.Result) (*Result, error) {
 	}
 	for _, b := range regionRPO {
 		for _, in := range b.Instrs {
-			if in.Dst != 0 && res.Const[in.Dst] && !isLiteral(f, in.Dst) {
+			if in.Dst != 0 && res.Const.Has(in.Dst) && !isLiteral(f, in.Dst) {
 				continue // moves to set-up
 			}
 			for _, a := range in.Args {
-				if res.Const[a] {
+				if res.Const.Has(a) {
 					assign(a)
 				}
 			}
@@ -94,14 +94,14 @@ func build(f *ir.Func, r *ir.Region, res *analysis.Result) (*Result, error) {
 	// ---- 4. Strip constant computations from template blocks; stats.
 	// Pass A: find the values used by instructions that survive in the
 	// templates, so literal constants they reference stay materialized.
-	usedInTemplate := map[ir.Value]bool{}
+	usedInTemplate := ir.NewValueSet(f.NumValues())
 	for _, b := range regionRPO {
 		for _, in := range b.Instrs {
-			if in.Dst != 0 && res.Const[in.Dst] && !isLiteral(f, in.Dst) {
+			if in.Dst != 0 && res.Const.Has(in.Dst) && !isLiteral(f, in.Dst) {
 				continue // will be stripped
 			}
 			for _, a := range in.Args {
-				usedInTemplate[a] = true
+				usedInTemplate.Add(a)
 			}
 		}
 	}
@@ -112,9 +112,9 @@ func build(f *ir.Func, r *ir.Region, res *analysis.Result) (*Result, error) {
 		b.Template = true
 		kept := b.Instrs[:0]
 		for _, in := range b.Instrs {
-			if in.Dst != 0 && res.Const[in.Dst] {
+			if in.Dst != 0 && res.Const.Has(in.Dst) {
 				if isLiteral(f, in.Dst) {
-					if usedInTemplate[in.Dst] {
+					if usedInTemplate.Has(in.Dst) {
 						kept = append(kept, in)
 					}
 					continue
@@ -165,12 +165,12 @@ func build(f *ir.Func, r *ir.Region, res *analysis.Result) (*Result, error) {
 // that set-up code must compute: hole values, constant-branch predicates,
 // their constant arguments, and the predicates referenced by the
 // reachability conditions of constant-merge φs.
-func neededValues(f *ir.Func, r *ir.Region, res *analysis.Result, out *Result) map[ir.Value]bool {
-	needed := map[ir.Value]bool{}
+func neededValues(f *ir.Func, r *ir.Region, res *analysis.Result, out *Result) ir.ValueSet {
+	needed := ir.NewValueSet(f.NumValues())
 	var work []ir.Value
 	add := func(v ir.Value) {
-		if v != 0 && res.Const[v] && !needed[v] {
-			needed[v] = true
+		if v != 0 && res.Const.Has(v) && !needed.Has(v) {
+			needed.Add(v)
 			work = append(work, v)
 		}
 	}
@@ -219,7 +219,7 @@ type builder struct {
 	out    *Result
 	vmap   map[ir.Value]ir.Value
 	rec    map[*ir.Loop]ir.Value // current record base per active loop
-	needed map[ir.Value]bool
+	needed ir.ValueSet
 	rpo    []*ir.Block
 
 	cur         *ir.Block
@@ -358,7 +358,7 @@ func (bd *builder) emitUnit(parent *ir.Loop) error {
 // heads, whose φs are materialized as real loop φs by emitLoop.
 func (bd *builder) emitBlockConsts(b *ir.Block, skipPhis bool) error {
 	for _, in := range b.Instrs {
-		if in.Dst == 0 || !bd.res.Const[in.Dst] || !bd.needed[in.Dst] {
+		if in.Dst == 0 || !bd.res.Const.Has(in.Dst) || !bd.needed.Has(in.Dst) {
 			continue
 		}
 		if in.Op == ir.OpPhi {
@@ -531,7 +531,7 @@ func (bd *builder) emitLoop(l *ir.Loop) error {
 	}
 	// All φs are emitted before any straight-line code (block-head invariant).
 	for _, op := range l.Head.Phis() {
-		if !bd.res.Const[op.Dst] || !bd.needed[op.Dst] {
+		if !bd.res.Const.Has(op.Dst) || !bd.needed.Has(op.Dst) {
 			continue
 		}
 		ea, err := bd.resolve(op.Args[entryIdx])

@@ -159,15 +159,15 @@ func loopOf(f *ir.Func, r *ir.Region, v ir.Value) *ir.Loop {
 //     appear later in reverse postorder (their predicates would not yet be
 //     materialized when the select chain runs).
 func plan(f *ir.Func, r *ir.Region, res *analysis.Result) []ir.Value {
-	rpo := map[*ir.Block]int{}
+	rpo := make([]int, f.NumBlockIDs()) // by Block.ID; 0 for unreachable blocks
 	for i, b := range f.ReversePostorder() {
-		rpo[b] = i
+		rpo[b.ID] = i
 	}
 	var demote []ir.Value
-	seen := map[ir.Value]bool{}
+	seen := ir.NewValueSet(f.NumValues())
 	add := func(v ir.Value) {
-		if !seen[v] {
-			seen[v] = true
+		if !seen.Has(v) {
+			seen.Add(v)
 			demote = append(demote, v)
 		}
 	}
@@ -176,12 +176,12 @@ func plan(f *ir.Func, r *ir.Region, res *analysis.Result) []ir.Value {
 	// would lose its definition when the splitter strips it from the
 	// template (the set-up value lives only in the table). Demote such
 	// values so they stay ordinary computations.
-	definedIn := map[ir.Value]bool{}
+	definedIn := ir.NewValueSet(f.NumValues())
 	for _, b := range f.Blocks {
 		if b.Region == r && !b.Setup {
 			for _, in := range b.Instrs {
 				if in.Dst != 0 {
-					definedIn[in.Dst] = true
+					definedIn.Add(in.Dst)
 				}
 			}
 		}
@@ -194,7 +194,7 @@ func plan(f *ir.Func, r *ir.Region, res *analysis.Result) []ir.Value {
 			for _, a := range in.Args {
 				// Literals keep their (dominating) template definition, so
 				// outside uses still see the value in its register.
-				if definedIn[a] && res.Const[a] && !isLiteral(f, a) {
+				if definedIn.Has(a) && res.Const.Has(a) && !isLiteral(f, a) {
 					add(a)
 				}
 			}
@@ -206,14 +206,14 @@ func plan(f *ir.Func, r *ir.Region, res *analysis.Result) []ir.Value {
 			continue
 		}
 		for _, in := range b.Instrs {
-			if in.Dst != 0 && res.Const[in.Dst] {
+			if in.Dst != 0 && res.Const.Has(in.Dst) {
 				// This instruction moves to set-up; check φ schedulability.
 				if in.Op == ir.OpPhi && !isUnrolledHead(r, b) {
 					for pi := range b.Preds {
 						ec := res.EdgeReach[analysis.EdgeKey{To: b, PredIdx: pi}]
 						for _, cj := range ec.Disj {
 							for _, a := range cj {
-								if rpo[a.Block] >= rpo[b] {
+								if rpo[a.Block.ID] >= rpo[b.ID] {
 									add(in.Dst)
 								}
 							}
@@ -229,7 +229,7 @@ func plan(f *ir.Func, r *ir.Region, res *analysis.Result) []ir.Value {
 			// per-iteration constant reaching an exit merge through an
 			// in-loop predecessor is fine.
 			for ai, a := range in.Args {
-				if !res.Const[a] || isLiteral(f, a) {
+				if !res.Const.Has(a) || isLiteral(f, a) {
 					continue
 				}
 				useBlk := b

@@ -509,13 +509,18 @@ func (f *fuser) liveness() []uint64 {
 // XInsts, returning false when the 8-bit absorbers would overflow.
 func absorb(host, victim *Inst) bool {
 	c, n := StaticCost(victim), InstCount(victim)
-	if uint64(host.XCost)+c > 255 || uint64(host.XInsts)+n > 255 {
+	if uint64(host.XCost)+c > 255 || uint64(host.XInsts)+n > maxXInsts(host.Op) {
 		return false
 	}
 	host.XCost += uint8(c)
 	host.XInsts += uint8(n)
 	return true
 }
+
+// maxXInsts is the most absorbed instructions an op may carry: its whole
+// InstCount must fit the exec plan's 8-bit per-pc count, and a fused
+// superinstruction already counts as the two it replaced.
+func maxXInsts(op Op) uint64 { return 255 - InstCount(&Inst{Op: op}) }
 
 // deadWrites marks pure register writes whose destination is dead for
 // removal, absorbing each one's modeled cost into an adjacent instruction
@@ -721,7 +726,7 @@ func (f *fuser) fusePairs() []bool {
 		// Carry both halves' absorbed cost and count.
 		xc := uint64(fused.XCost) + uint64(a.XCost) + uint64(b.XCost)
 		xn := uint64(fused.XInsts) + uint64(a.XInsts) + uint64(b.XInsts)
-		if xc > 255 || xn > 255 {
+		if xc > 255 || xn > maxXInsts(fused.Op) {
 			continue
 		}
 		fused.XCost = uint8(xc)
@@ -760,7 +765,7 @@ func (f *fuser) threadJumps() {
 			// Absorb: inner BR's static cost plus its taken penalty.
 			xc := uint64(in.XCost) + uint64(CostBranch+CostTaken) + uint64(inner.XCost)
 			xn := uint64(in.XInsts) + 1 + uint64(inner.XInsts)
-			if xc > 255 || xn > 255 {
+			if xc > 255 || xn > maxXInsts(in.Op) {
 				continue
 			}
 			in.XCost = uint8(xc)

@@ -448,7 +448,7 @@ func (f *refFuser) fusePairs() []bool {
 		// Carry both halves' absorbed cost and count.
 		xc := uint64(fused.XCost) + uint64(a.XCost) + uint64(b.XCost)
 		xn := uint64(fused.XInsts) + uint64(a.XInsts) + uint64(b.XInsts)
-		if xc > 255 || xn > 255 {
+		if xc > 255 || xn > maxXInsts(fused.Op) {
 			continue
 		}
 		fused.XCost = uint8(xc)
@@ -487,7 +487,7 @@ func (f *refFuser) threadJumps() {
 			// Absorb: inner BR's static cost plus its taken penalty.
 			xc := uint64(in.XCost) + uint64(CostBranch+CostTaken) + uint64(inner.XCost)
 			xn := uint64(in.XInsts) + 1 + uint64(inner.XInsts)
-			if xc > 255 || xn > 255 {
+			if xc > 255 || xn > maxXInsts(in.Op) {
 				continue
 			}
 			in.XCost = uint8(xc)

@@ -329,3 +329,44 @@ func BenchmarkFuse(b *testing.B) {
 		benchFuse(b, code, opts)
 	})
 }
+
+// TestFusedInstCountFitsPlan: fused code reports the guest instruction
+// count and cycles of the code it replaced, even when the dead writes
+// absorbed into one instruction bring its count to the exec plan's 8-bit
+// limit. 254 dead MOVs before SLTI+BNEZ used to fuse into one CMPBRI
+// carrying 254 absorbed instructions, whose count of 256 wrapped: 258
+// guest instructions were reported as 2. A plain instruction carrying 255
+// wrapped to 0 the same way.
+func TestFusedInstCountFitsPlan(t *testing.T) {
+	fusedAtLimit := false
+	for _, dead := range []int{0, 1, 252, 253, 254, 255, 256, 400} {
+		var code []Inst
+		for i := 0; i < dead; i++ {
+			code = append(code, Inst{Op: MOV, Rd: 13, Rs: RA0})
+		}
+		n := len(code)
+		code = append(code,
+			Inst{Op: SLTI, Rd: 14, Rs: RA0, Imm: 5},
+			Inst{Op: BNEZ, Rs: 14, Target: n + 4},
+			Inst{Op: LI, Rd: RRV, Imm: 1},
+			Inst{Op: RET},
+			Inst{Op: LI, Rd: RRV, Imm: 2},
+			Inst{Op: RET})
+		fr := Fuse(code, FuseOptions{})
+		if fr.Stats.CmpBranchFused > 0 && InstCount(&fr.Code[0]) == 255 {
+			fusedAtLimit = true
+		}
+		vPlain, plain := runSnippet(t, code, nil)
+		vFused, fused := runSnippet(t, fr.Code, nil)
+		if vPlain != 2 || vFused != 2 {
+			t.Fatalf("%d dead writes: results %d and %d, want 2", dead, vPlain, vFused)
+		}
+		if fused.Insts != plain.Insts || fused.Cycles != plain.Cycles {
+			t.Errorf("%d dead writes: fused code ran %d insts in %d cycles, unfused %d in %d",
+				dead, fused.Insts, fused.Cycles, plain.Insts, plain.Cycles)
+		}
+	}
+	if !fusedAtLimit {
+		t.Error("no case fused a compare-branch carrying a full 8-bit count")
+	}
+}
