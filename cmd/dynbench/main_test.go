@@ -1,68 +1,42 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// parseHostBaseline must accept both recorded baseline schemas — the
-// shared {mode, config, results} envelope and the pre-envelope flat
-// report — and reject files carrying no host rows in either, instead of
-// silently comparing against an empty baseline.
-func TestParseHostBaseline(t *testing.T) {
-	read := func(name string) []byte {
-		t.Helper()
-		data, err := os.ReadFile(filepath.Join("testdata", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
+// TestPaperGolden pins dynbench's output byte for byte: Tables 2 and 3
+// (plain and merged), the section 5 register-actions result and the
+// Figure 1 walk-through. Every figure is a modeled cycle or instruction
+// count, so any difference is a change in what the compiler, stitcher or
+// cycle model does. Regenerate after an intended change with
+// `go run ./cmd/dynbench > cmd/dynbench/testdata/paper.golden`.
+func TestPaperGolden(t *testing.T) {
+	var got bytes.Buffer
+	if err := render(&got); err != nil {
+		t.Fatal(err)
 	}
-
-	t.Run("legacy flat", func(t *testing.T) {
-		rows, err := parseHostBaseline(read("hostbaseline_legacy.json"))
-		if err != nil {
-			t.Fatal(err)
+	want, err := os.ReadFile(filepath.Join("testdata", "paper.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got.Bytes(), want) {
+		return
+	}
+	gl := bytes.Split(got.Bytes(), []byte("\n"))
+	wl := bytes.Split(want, []byte("\n"))
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w []byte
+		if i < len(gl) {
+			g = gl[i]
 		}
-		if len(rows) != 2 {
-			t.Fatalf("got %d rows, want 2", len(rows))
+		if i < len(wl) {
+			w = wl[i]
 		}
-		if rows[0].Name != "warm dispatch" || rows[0].NsPerInst != 8.0 {
-			t.Fatalf("row 0 = %+v", rows[0])
+		if !bytes.Equal(g, w) {
+			t.Fatalf("output differs from testdata/paper.golden at line %d:\n got: %q\nwant: %q", i+1, g, w)
 		}
-		if rows[1].Name != "matrix multiply" || rows[1].GuestInsts != 45000000 {
-			t.Fatalf("row 1 = %+v", rows[1])
-		}
-	})
-
-	t.Run("envelope", func(t *testing.T) {
-		rows, err := parseHostBaseline(read("hostbaseline_envelope.json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rows) != 1 {
-			t.Fatalf("got %d rows, want 1", len(rows))
-		}
-		if rows[0].Name != "warm dispatch" || rows[0].NsPerInst != 7.0 {
-			t.Fatalf("row 0 = %+v", rows[0])
-		}
-	})
-
-	t.Run("no host rows", func(t *testing.T) {
-		for _, src := range []string{
-			`{"mode": "table", "config": {}, "results": {}}`,
-			`{}`,
-		} {
-			if rows, err := parseHostBaseline([]byte(src)); err == nil {
-				t.Fatalf("accepted %s: %+v", src, rows)
-			}
-		}
-	})
-
-	t.Run("malformed", func(t *testing.T) {
-		if _, err := parseHostBaseline([]byte("{not json")); err == nil {
-			t.Fatal("accepted malformed JSON")
-		}
-	})
+	}
 }

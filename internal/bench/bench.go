@@ -79,7 +79,7 @@ type benchmark struct {
 // subjects pin InlineBudget to -1: Table 2/3 reproduce the paper's
 // configuration, which predates the demand-driven inlining extension (the
 // dispatcher row's handler call must stay a call, as in the paper), and
-// the inlining win is measured separately by bench.Inline (BENCH_10).
+// the inlining win is checked separately by TestInlineSmall.
 func compileBoth(src string, cfg Config) (stat, dyn *core.Compiled, err error) {
 	stat, err = core.Compile(src, core.Config{Dynamic: false, Optimize: true,
 		InlineBudget: -1,

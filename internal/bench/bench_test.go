@@ -1,6 +1,13 @@
 package bench
 
-import "testing"
+import (
+	"fmt"
+	"sync"
+	"testing"
+
+	"dyncc/internal/core"
+	"dyncc/internal/rtr"
+)
 
 // Each Table 2 benchmark must run correctly (every use is verified against
 // a host-side gold) and show a dynamic-compilation speedup.
@@ -185,24 +192,76 @@ func TestMergedStitchCutsOverhead(t *testing.T) {
 	t.Logf("sparse set-up: two-pass %d cycles, merged %d cycles", two.SetupCycles, one.SetupCycles)
 }
 
-// The parallel harness must show the fleet paying for exactly one stitch
-// per distinct key when sharing is on, and machines x keys when it is off.
-func TestParallelMachinesStitchCounts(t *testing.T) {
-	shared, err := ParallelMachines(4, 64, false)
+// parallelSrc unrolls completely, keyed by the exponent, so each distinct
+// key costs a real stitch worth sharing across machines.
+const parallelSrc = `
+int power(int n, int x) {
+    int r = 1;
+    dynamicRegion key(n) () {
+        int i;
+        unrolled for (i = 0; i < n; i++) {
+            r = r * x;
+        }
+    }
+    return r;
+}`
+
+// parallelKeys are the distinct specializations parallelRun exercises.
+var parallelKeys = []int64{2, 3, 5, 8, 13, 21, 24, 30}
+
+// parallelRun calls power from `machines` machines on one runtime, one
+// goroutine each, 64 calls per machine cycling through parallelKeys, and
+// returns the runtime's cache statistics.
+func parallelRun(t *testing.T, machines int, noShare bool) rtr.CacheStats {
+	t.Helper()
+	c, err := core.Compile(parallelSrc, core.Config{
+		Dynamic: true, Optimize: true,
+		Cache: rtr.CacheOptions{NoShare: noShare},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shared.Stitches != uint64(shared.Keys) {
-		t.Errorf("shared: %d stitches for %d keys", shared.Stitches, shared.Keys)
+	ms := c.NewMachines(machines)
+	errs := make([]error, machines)
+	var wg sync.WaitGroup
+	for i := range ms {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for n := 0; n < 64; n++ {
+				k := parallelKeys[(n+i)%len(parallelKeys)]
+				got, err := ms[i].Call("power", k, 2)
+				if err == nil && got != 1<<k {
+					err = fmt.Errorf("power(%d,2) = %d, want %d", k, got, int64(1)<<k)
+				}
+				if err != nil {
+					errs[i] = err
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c.Runtime.CacheStats()
+}
+
+// Machines running concurrently on one runtime must pay for exactly one
+// stitch per distinct key when sharing is on, and machines x keys when it
+// is off.
+func TestParallelMachinesStitchCounts(t *testing.T) {
+	shared := parallelRun(t, 4, false)
+	if shared.Stitches != uint64(len(parallelKeys)) {
+		t.Errorf("shared: %d stitches for %d keys", shared.Stitches, len(parallelKeys))
 	}
 	if shared.SharedHits == 0 {
 		t.Error("shared: no machine adopted a cached segment")
 	}
-	private, err := ParallelMachines(4, 64, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := uint64(4 * private.Keys); private.Stitches != want {
-		t.Errorf("noShare: %d stitches, want %d", private.Stitches, want)
+	if private := parallelRun(t, 4, true); private.Stitches != uint64(4*len(parallelKeys)) {
+		t.Errorf("noShare: %d stitches, want %d", private.Stitches, 4*len(parallelKeys))
 	}
 }

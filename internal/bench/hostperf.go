@@ -2,37 +2,16 @@ package bench
 
 import (
 	"fmt"
-	"io"
-	"runtime"
 	"strings"
-	"time"
 
 	"dyncc/internal/vm"
 )
 
-// Host performance harness: measures what the *host* pays per guest
-// instruction — the quantity the interpreter-loop work (closure-free
-// dispatch, precomputed attribution plans, superinstruction fusion)
-// optimizes. The guest cycle model is untouched by those changes (Table 2
-// is byte-identical either way); this file measures the other axis.
-
-// HostResult is one row of the host-performance report.
-type HostResult struct {
-	Name       string  `json:"name"`
-	GuestInsts uint64  `json:"guest_insts"`       // guest instructions executed in the timed window
-	HostNs     float64 `json:"host_ns"`           // host wall time of the timed window
-	NsPerInst  float64 `json:"ns_per_guest_inst"` // headline: host ns per guest instruction
-	GuestMIPS  float64 `json:"guest_mips"`        // guest instructions per host microsecond
-}
-
-// HostComparison pairs a current measurement with a recorded baseline.
-type HostComparison struct {
-	Name        string  `json:"name"`
-	BaselineNs  float64 `json:"baseline_ns_per_guest_inst"`
-	CurrentNs   float64 `json:"ns_per_guest_inst"`
-	HostSpeedup float64 `json:"host_speedup"`
-	MeetsTarget bool    `json:"meets_1_5x"`
-}
+// Host kernels: the subjects perfbench and BenchmarkHostPerf time for
+// host ns per guest instruction, the quantity the interpreter-loop work
+// (closure-free dispatch, precomputed attribution plans, superinstruction
+// fusion) optimizes. The guest cycle model is untouched by those changes
+// (Table 2 is byte-identical either way); these measure the other axis.
 
 // warmDispatchSource isolates the warm-dispatch path: a keyed region with a
 // tiny body, always invoked with the same key, so nearly every guest
@@ -113,130 +92,4 @@ func HostKernels() []HostKernel {
 		},
 	})
 	return ks
-}
-
-// hostSamples is how many independent timed windows MeasureHost takes per
-// kernel; the fastest is reported. The interpreter is deterministic, so
-// the host can only ever make a window slower (scheduler preemption, cache
-// pollution from neighbours) — the minimum is the noise-robust estimate.
-const hostSamples = 5
-
-// MeasureHost times one kernel: a warm-up pass stitches every
-// specialization the use pattern touches, then uses are replayed in
-// hostSamples independent windows of at least minDur each and the fastest
-// window is reported.
-func MeasureHost(k HostKernel, cfg Config, warmup int, minDur time.Duration) (*HostResult, error) {
-	m, step, err := k.Setup(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", k.Name, err)
-	}
-	m.MaxCycles = 1 << 62
-	for i := 0; i < warmup; i++ {
-		if err := step(i); err != nil {
-			return nil, fmt.Errorf("%s warmup %d: %w", k.Name, i, err)
-		}
-	}
-	// Collect the previous kernel's machine (tens of MB of VM memory)
-	// before timing so its garbage isn't collected inside our windows.
-	runtime.GC()
-	r := &HostResult{Name: k.Name}
-	for s, i := 0, 0; s < hostSamples; s++ {
-		insts0 := m.Insts
-		start := time.Now()
-		var elapsed time.Duration
-		for {
-			for j := 0; j < warmup; j++ {
-				if err := step(i); err != nil {
-					return nil, fmt.Errorf("%s use %d: %w", k.Name, i, err)
-				}
-				i++
-			}
-			if elapsed = time.Since(start); elapsed >= minDur {
-				break
-			}
-		}
-		insts := m.Insts - insts0
-		if insts == 0 {
-			continue
-		}
-		ns := float64(elapsed.Nanoseconds())
-		if r.GuestInsts == 0 || ns/float64(insts) < r.NsPerInst {
-			r.GuestInsts = insts
-			r.HostNs = ns
-			r.NsPerInst = ns / float64(insts)
-			r.GuestMIPS = float64(insts) * 1e3 / ns
-		}
-	}
-	return r, nil
-}
-
-// hostWarmup is how many uses warm each kernel before timing: enough to
-// visit every key in the keyed workloads (the scalar kernel cycles through
-// 100 scalars).
-const hostWarmup = 100
-
-// HostPerf measures host ns per guest instruction for the five Table 2
-// kernels plus the warm-dispatch path.
-func HostPerf(cfg Config, minDur time.Duration) ([]*HostResult, error) {
-	if minDur <= 0 {
-		minDur = 300 * time.Millisecond
-	}
-	var out []*HostResult
-	for _, k := range HostKernels() {
-		r, err := MeasureHost(k, cfg, hostWarmup, minDur)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// CompareHost joins current results against a baseline by kernel name.
-func CompareHost(current, baseline []*HostResult) []*HostComparison {
-	base := map[string]*HostResult{}
-	for _, r := range baseline {
-		base[r.Name] = r
-	}
-	var out []*HostComparison
-	for _, r := range current {
-		b, ok := base[r.Name]
-		if !ok || b.NsPerInst <= 0 || r.NsPerInst <= 0 {
-			continue
-		}
-		s := b.NsPerInst / r.NsPerInst
-		out = append(out, &HostComparison{
-			Name:        r.Name,
-			BaselineNs:  b.NsPerInst,
-			CurrentNs:   r.NsPerInst,
-			HostSpeedup: s,
-			MeetsTarget: s >= 1.5,
-		})
-	}
-	return out
-}
-
-// PrintHost renders the host-performance report.
-func PrintHost(w io.Writer, rows []*HostResult, cmp []*HostComparison) {
-	fmt.Fprintf(w, "%-36s %14s %16s %12s\n",
-		"Kernel", "guest insts", "ns/guest-inst", "guest MIPS")
-	fmt.Fprintln(w, strings.Repeat("-", 82))
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-36s %14d %16.2f %12.1f\n",
-			r.Name, r.GuestInsts, r.NsPerInst, r.GuestMIPS)
-	}
-	if len(cmp) > 0 {
-		fmt.Fprintln(w)
-		fmt.Fprintf(w, "%-36s %16s %16s %10s\n",
-			"Kernel", "baseline ns/inst", "current ns/inst", "speedup")
-		fmt.Fprintln(w, strings.Repeat("-", 82))
-		for _, c := range cmp {
-			mark := ""
-			if c.MeetsTarget {
-				mark = "  (>=1.5x)"
-			}
-			fmt.Fprintf(w, "%-36s %16.2f %16.2f %9.2fx%s\n",
-				c.Name, c.BaselineNs, c.CurrentNs, c.HostSpeedup, mark)
-		}
-	}
 }

@@ -22,9 +22,13 @@ func TestRegionsTakeStencilPath(t *testing.T) {
 		name, src string
 		cfg       core.Config
 	}
-	var subjects []subject
-	for _, k := range compileCorpus() {
-		subjects = append(subjects, subject{k.name, k.src, dyn})
+	subjects := []subject{
+		{"interpreter (cachesim)", CacheSimSource, dyn},
+		{"calculator", CalcSource, dyn},
+		{"event dispatcher", DispatchSource, dyn},
+		{"record sorter", SorterSource, dyn},
+		{"matrix scalar multiply", ScalarSource, dyn},
+		{"sparse vector product", SparseSource, dyn},
 	}
 	n := int64(150)
 	if testing.Short() {

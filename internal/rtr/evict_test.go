@@ -280,43 +280,76 @@ func TestInvalidateKeyTargets(t *testing.T) {
 	}
 }
 
-// TestAdmissionNeverExceedsCap publishes from every shard at once against
-// small global and per-region entry caps. Checking a cap under one shard's
-// lock and counting the entry later let two shards both take the last
-// slot; admission claims the slot atomically, so no count may ever pass
-// its cap, not even for an instant.
+// TestAdmissionNeverExceedsCap publishes from every shard against small
+// global and per-region entry caps. Checking a cap under one shard's lock
+// and counting the entry later let two shards both take the last slot;
+// admission claims the slot atomically, so no count may ever pass its cap,
+// not even for an instant.
+//
+// The test sets the schedule in rounds. In each round every shard's
+// publisher first publishes a burst at once, racing the others for slots
+// and victims, and then the publishers take turns, one at a time. A
+// publisher alone finds every sibling shard unlocked, and with a cap full
+// some shard holds a victim, so each turn is admitted. The turns are half
+// of all publishes, which fixes the admitted count's lower bound.
 func TestAdmissionNeverExceedsCap(t *testing.T) {
 	const shards, perShard, maxEntries, maxRegion = 8, 400, 4, 3
+	const burst = 8
 	rt := testRuntime(CacheOptions{Shards: shards, MaxEntries: maxEntries,
 		MaxEntriesPerRegion: maxRegion}, 2)
 	var admitted atomic.Int64
-	errs := make(chan error, shards)
-	for i := 0; i < shards; i++ {
-		go func(i int) {
-			sh := &rt.shards[i]
-			for j := 0; j < perShard; j++ {
-				ck := cacheKey{region: j % 2, key: fmt.Sprintf("s%d-%d", i, j)}
-				e := &entry{key: ck, done: make(chan struct{}), seg: &vm.Segment{}, slot: -1}
-				close(e.done)
-				sh.mu.Lock()
-				sh.entries[ck] = e
-				if rt.admitLocked(sh, e) {
-					admitted.Add(1)
-				} else {
-					delete(sh.entries, ck)
+	// publish offers shard i's j-th entry and reports whether it was
+	// admitted, or an error if a region count passed its cap.
+	publish := func(i, j int) (bool, error) {
+		sh := &rt.shards[i]
+		ck := cacheKey{region: j % 2, key: fmt.Sprintf("s%d-%d", i, j)}
+		e := &entry{key: ck, done: make(chan struct{}), seg: &vm.Segment{}, slot: -1}
+		close(e.done)
+		sh.mu.Lock()
+		sh.entries[ck] = e
+		ok := rt.admitLocked(sh, e)
+		if ok {
+			admitted.Add(1)
+		} else {
+			delete(sh.entries, ck)
+		}
+		sh.mu.Unlock()
+		if n := rt.regionResident[ck.region].Load(); n > maxRegion {
+			return ok, fmt.Errorf("region %d holds %d entries, cap %d", ck.region, n, maxRegion)
+		}
+		return ok, nil
+	}
+	for j := 0; j < perShard; j += 2 * burst {
+		start := make(chan struct{})
+		errs := make(chan error, shards)
+		for i := 0; i < shards; i++ {
+			go func(i int) {
+				<-start
+				for k := 0; k < burst; k++ {
+					if _, err := publish(i, j+k); err != nil {
+						errs <- err
+						return
+					}
 				}
-				sh.mu.Unlock()
-				if n := rt.regionResident[ck.region].Load(); n > maxRegion {
-					errs <- fmt.Errorf("region %d holds %d entries, cap %d", ck.region, n, maxRegion)
-					return
+				errs <- nil
+			}(i)
+		}
+		close(start)
+		for i := 0; i < shards; i++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k := burst; k < 2*burst; k++ {
+			for i := 0; i < shards; i++ {
+				ok, err := publish(i, j+k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					t.Fatalf("shard %d entry %d declined with no publisher contending", i, j+k)
 				}
 			}
-			errs <- nil
-		}(i)
-	}
-	for i := 0; i < shards; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
 		}
 	}
 	if p := rt.peakEntries.Load(); p > maxEntries {

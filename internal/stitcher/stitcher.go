@@ -123,11 +123,11 @@ func Stitch(region *tmpl.Region, mem []int64, tableBase int64,
 
 // DryStitch runs the full emission pipeline — block walk, hole patching,
 // branch resolution, loop unrolling, peephole cleanup — without
-// materializing a segment. It exists for benchmarks and the allocation
-// accounting in bench.StitchPerf: on warm scratch the stencil path's dry
-// stitch is allocation-free, so DryStitch isolates emission cost from the
-// segment allocations of a real stitch (fused code, PCMap, segment, exec
-// plan and stats: at most 10 objects, TestStitchAllocBudget).
+// materializing a segment. It exists for the BenchmarkDryStitch pair: on
+// warm scratch the stencil path's dry stitch is allocation-free, so
+// DryStitch isolates emission cost from the segment allocations of a real
+// stitch (fused code, PCMap, segment, exec plan and stats: at most 10
+// objects, TestStitchAllocBudget).
 func DryStitch(region *tmpl.Region, mem []int64, tableBase int64,
 	opts Options) (Stats, error) {
 

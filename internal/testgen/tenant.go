@@ -1,5 +1,5 @@
-// Tenant program generation for the multi-tenant serving benchmark
-// (bench.Serve). A "tenant" is one small MiniC program of the shape a
+// Tenant program generation for multi-tenant serving (perfbench's serve
+// and restart workloads, and bench.TestServeSmall). A "tenant" is one small MiniC program of the shape a
 // dynamic-compilation service actually hosts per customer — a dispatch
 // table, a template renderer, a pricing rule — each with one keyed dynamic
 // region so the runtime specializes per (tenant, key) pair. The generator
