@@ -6,16 +6,16 @@ all: check
 
 # Tier 1, in the order run below:
 # - everything builds, gofmt and vet are clean, and the full suite passes
-#   (including the stencil ablation in the pass sweep and the paper-output
-#   golden, TestPaperGolden);
+#   (including the pass-ablation sweep and the paper-output golden,
+#   TestPaperGolden);
 # - the cache/eviction/async-stitch machinery (rtr) and the vm and
 #   stitcher packages run whole under the race detector: their pooled
 #   scratch (fusion's and the stitcher's) is shared by concurrent stitch
 #   workers and CompileBatch, and TestFuseConcurrent fuses from 8
 #   goroutines against the reference pipeline;
-# - the stencil/interpretive stitch differential, the persistent-store
-#   round trip (compile -> persist -> a fresh runtime serves byte-identical
-#   code from the store) and a short store differential sweep, raced;
+# - the persistent-store round trip (compile -> persist -> a fresh
+#   runtime serves byte-identical code from the store) and a short store
+#   differential sweep, raced;
 # - a race-enabled Compile/CompileBatch stress run, with the dense-table
 #   passes checked against their map-based references
 #   (TestDenseMatchesReference, TestAllocateMatchesReference: those tables
@@ -44,7 +44,6 @@ check:
 	$(GO) test ./...
 	$(GO) test -race -timeout 120s ./internal/rtr
 	$(GO) test -race -timeout 120s ./internal/vm ./internal/stitcher
-	$(GO) test -race -short -timeout 120s -run 'TestStencil' ./internal/testgen
 	$(GO) test -race -timeout 120s -run 'TestPersistentStoreRoundTrip' .
 	$(GO) test -race -short -timeout 120s -run 'TestStoreFixedSeeds' ./internal/testgen
 	$(GO) test -race -short -timeout 180s -run 'TestCompileBatch|TestCompileRaceBatchVsSerial|TestDenseMatchesReference|TestAllocateMatchesReference' ./internal/core ./internal/ir ./internal/regalloc

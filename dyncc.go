@@ -466,9 +466,8 @@ type RuntimeCacheStats struct {
 
 	Stitches       uint64
 	FailedStitches uint64
-	// StencilStitches counts successful stitches that ran on the
-	// precompiled copy-and-patch fast path; the rest took the interpretive
-	// fallback (nonzero under `-disable-pass stencil`).
+	// StencilStitches counts successful stitches from a region's
+	// precompiled copy-and-patch stencil, which every stitch uses.
 	StencilStitches uint64
 
 	Evictions     uint64

@@ -7,13 +7,13 @@ import (
 	"dyncc/internal/testgen"
 )
 
-// TestRegionsTakeStencilPath: every compiled region with template blocks
-// carries a precompiled stencil, so its stitches take the copy-and-patch
-// path. The stitcher falls back to interpreting the templates when a
-// region has none, so a stencil-builder regression would otherwise show
-// only as a slower serve. The corpus is the Table 2 sources plus, per
-// seed, a generated program, a call-bearing one, a serving tenant and an
-// annotation-stripped one compiled with automatic region promotion.
+// TestRegionsTakeStencilPath: every program of the corpus compiles, and
+// every compiled region with template blocks carries the precompiled
+// stencil its stitches run on. A region the stencil builder rejects is a
+// compile error, so a builder regression shows here as a failed compile.
+// The corpus is the Table 2 sources plus, per seed, a generated program, a
+// call-bearing one, a serving tenant and an annotation-stripped one
+// compiled with automatic region promotion.
 func TestRegionsTakeStencilPath(t *testing.T) {
 	dyn := core.Config{Dynamic: true, Optimize: true}
 	auto := dyn

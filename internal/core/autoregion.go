@@ -30,7 +30,7 @@ import (
 // grafted into its callers' regions, where specialization happens.
 //
 // The pass is optional (`-disable-pass autoregion`) and inert unless
-// Config.AutoRegion is set, mirroring how `stencil` rides RegisterOptional.
+// Config.AutoRegion is set.
 type passAutoRegion struct {
 	enabled bool
 	// inlineBudget is the effective budget of the inline pass for this

@@ -57,8 +57,8 @@ type Config struct {
 	InlineBudget int
 	// DisablePasses names pipeline passes to skip, for ablation and
 	// debugging (e.g. "dce", "cse", "inline", or the whole "optimize"
-	// group). Structural passes (parse, lower, ssa, split, codegen) cannot
-	// be disabled, and unknown names are a compile error.
+	// group). Structural passes (parse, lower, ssa, split, codegen,
+	// stencil) cannot be disabled, and unknown names are a compile error.
 	DisablePasses []string
 	// DumpIR, when non-nil, receives a textual IR snapshot of every
 	// function after each module-mutating pass (optimizer sub-passes dump
@@ -158,9 +158,8 @@ func newPipeline(cfg Config) *pipeline.Manager {
 	// differential runs compare whole configurations.
 	mgr.Register(passCodegen{noFuse: cfg.Stitcher.NoFuse || !cfg.Optimize})
 	// Stencil precompilation serves the dynamic compiler, not the static
-	// code; it is optional so `-disable-pass stencil` can ablate the
-	// stitcher back to its interpretive path.
-	mgr.RegisterOptional(passStencil{})
+	// code. It is structural: the stitcher consumes only stencils.
+	mgr.Register(passStencil{})
 	return mgr
 }
 

@@ -145,8 +145,13 @@ func TestDisablePasses(t *testing.T) {
 	if _, err := core.Compile(src, cfg); err == nil {
 		t.Error("unknown pass name accepted")
 	}
-	cfg.DisablePasses = []string{"codegen"}
-	if _, err := core.Compile(src, cfg); err == nil {
-		t.Error("structural pass disable accepted")
+	// The stitcher consumes only stencils, so the stencil pass is
+	// structural too.
+	for _, pass := range []string{"codegen", "stencil"} {
+		cfg.DisablePasses = []string{pass}
+		if _, err := core.Compile(src, cfg); err == nil ||
+			!strings.Contains(err.Error(), "is structural") {
+			t.Errorf("disabling %s: err = %v, want the structural-pass error", pass, err)
+		}
 	}
 }

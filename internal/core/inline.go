@@ -27,9 +27,9 @@ import (
 // Eligibility comes from the analysis.FuncSummary table: the callee must
 // fit Config.InlineBudget instructions and have no recursion, no
 // address-taken locals, no dynamic region, and a reachable `ret`.
-// After grafting, the run-time-constants analysis is re-run over every
-// region of the mutated caller, so a graft that breaks convergence is a
-// compile-time error here, not a latent splitter failure.
+// The grafted regions are analyzed once, by split; if that analysis fails
+// to converge, its error names the callees grafted into the function
+// (ir.Func.Inlined).
 type passInline struct {
 	enabled bool
 	budget  int
@@ -103,16 +103,6 @@ func inlineFunc(mod *ir.Module, f *ir.Func, sums map[string]*analysis.FuncSummar
 			return n, fmt.Errorf("inline %s into %s: %w", call.Sym, f.Name, err)
 		}
 		n++
-	}
-	if n > 0 {
-		// Re-run the run-time-constants analysis over every region the
-		// grafts may have extended: newly merged bodies must still admit a
-		// converging solution before the splitter consumes it.
-		for _, r := range f.Regions {
-			if _, err := analysis.Analyze(f, r, nil); err != nil {
-				return n, fmt.Errorf("inline: post-graft analysis of %s: %w", f.Name, err)
-			}
-		}
 	}
 	return n, nil
 }

@@ -131,11 +131,9 @@ func (p passCodegen) Run(ctx *pipeline.Context) error {
 }
 
 // passStencil precompiles each region's templates into their copy-and-patch
-// form (internal/stencil), consumed by the stitcher's fast path. Optional:
-// disabling it (-disable-pass stencil) is the interpretive-stitcher
-// ablation baseline — stitched segments are byte-identical either way, only
-// stitch-time cost changes. It rewrites codegen output, not the IR, so no
-// verification is interposed.
+// form (internal/stencil), the only form the stitcher consumes. A region
+// the stencil builder rejects fails the compilation. It rewrites codegen
+// output, not the IR, so no verification is interposed.
 type passStencil struct{}
 
 func (passStencil) Name() string { return "stencil" }
@@ -144,6 +142,7 @@ func (passStencil) Run(ctx *pipeline.Context) error {
 	if ctx.Output == nil {
 		return nil
 	}
-	ctx.NoteChanges(stencil.Precompile(ctx.Output.Regions))
-	return nil
+	n, err := stencil.Precompile(ctx.Output.Regions)
+	ctx.NoteChanges(n)
+	return err
 }

@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // InlineCall grafts callee's body into caller at the given call site,
 // SSA-correctly: parameters substitute to the call's arguments, every
@@ -245,6 +248,9 @@ func InlineCall(caller *Func, call *Instr, callee *Func) error {
 		}
 		cont.InsertBefore(0, ret)
 		caller.vals[call.Dst].Def = ret
+	}
+	if !slices.Contains(caller.Inlined, callee.Name) {
+		caller.Inlined = append(caller.Inlined, callee.Name)
 	}
 	return nil
 }

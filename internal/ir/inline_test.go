@@ -1,6 +1,7 @@
 package ir_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -52,6 +53,9 @@ func inlineAndVerify(t *testing.T, mod *ir.Module, caller, callee string) *ir.Fu
 	}
 	if err := ir.Verify(cr); err != nil {
 		t.Fatalf("post-inline verify: %v\n%s", err, cr)
+	}
+	if !slices.Contains(cr.Inlined, callee) {
+		t.Errorf("%s.Inlined = %v, missing %s", caller, cr.Inlined, callee)
 	}
 	for _, b := range cr.Blocks {
 		for _, in := range b.Instrs {

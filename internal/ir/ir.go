@@ -345,6 +345,10 @@ type Func struct {
 	numBlocks int
 	StackSize int // stack slots (words) for address-taken locals/aggregates
 	SSA       bool
+	// Inlined names the callees InlineCall grafted into the function, once
+	// each, in first-graft order (diagnostics: a later pass that rejects
+	// the function names them).
+	Inlined []string
 }
 
 // NewFunc creates an empty function.

@@ -127,7 +127,7 @@ func (m *Manager) add(p Pass, required bool, group string) {
 }
 
 // Register appends a required structural pass (parse, lower, ssa, split,
-// codegen): it cannot be disabled, because later passes depend on its
+// codegen, stencil): it cannot be disabled, because later passes depend on its
 // artifacts.
 func (m *Manager) Register(p Pass) { m.add(p, true, "") }
 

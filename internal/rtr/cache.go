@@ -328,7 +328,7 @@ func (rt *Runtime) produce(region int, key string, gen uint64,
 	if err != nil {
 		return nil, nil, err
 	}
-	rt.countStencil(stats)
+	rt.stencilStitches.Add(1)
 	return seg, stats, nil
 }
 

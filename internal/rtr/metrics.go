@@ -31,11 +31,10 @@ type CacheStats struct {
 	// would have silently decremented it.
 	Stitches       uint64
 	FailedStitches uint64
-	// StencilStitches counts successful stitches that ran on the
-	// copy-and-patch fast path (counted in produce, so inline,
-	// singleflighted and background stitches alike). Stitches -
-	// StencilStitches ran the interpretive fallback — nonzero when
-	// `-disable-pass stencil` is set or a region declined precompilation.
+	// StencilStitches counts successful stitches from a region's
+	// precompiled copy-and-patch stencil (counted in produce, so inline,
+	// singleflighted and background stitches alike). Every stitch takes
+	// that path; a store adoption is not a stitch and is not counted.
 	StencilStitches uint64
 
 	// Churn and lifecycle.

@@ -118,10 +118,8 @@ type Runtime struct {
 
 	invalidations atomic.Uint64
 	l2Evictions   atomic.Uint64
-	// stencilStitches counts stitches — inline, singleflighted, or
-	// background — that ran on the stitcher's copy-and-patch fast path
-	// (region had a precompiled stencil). Stitches minus StencilStitches
-	// is the interpretive-fallback count.
+	// stencilStitches counts successful stitches — inline,
+	// singleflighted, or background — counted in produce.
 	stencilStitches atomic.Uint64
 
 	// Asynchronous stitching state (see async.go). jobs and quit are nil
@@ -602,14 +600,6 @@ func (rt *Runtime) stitchNow(m *vm.Machine, ms *machineState, region int,
 		m.Cycles += stats.CyclesModeled
 	}
 	return seg, nil
-}
-
-// countStencil tallies which emission path a successful stitch ran on, so
-// CacheStats.StencilStitches covers every tier (produce is its one caller).
-func (rt *Runtime) countStencil(stats *stitcher.Stats) {
-	if stats != nil && stats.StencilPath {
-		rt.stencilStitches.Add(1)
-	}
 }
 
 // keepStitched retains seg for diagnostics. Dedup is a set membership test

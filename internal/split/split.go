@@ -14,6 +14,7 @@ package split
 
 import (
 	"fmt"
+	"strings"
 
 	"dyncc/internal/analysis"
 	"dyncc/internal/ir"
@@ -74,6 +75,9 @@ func Split(f *ir.Func, r *ir.Region) (*Result, error) {
 	for attempt := 0; ; attempt++ {
 		res, err := analysis.Analyze(f, r, forced)
 		if err != nil {
+			if len(f.Inlined) > 0 {
+				err = fmt.Errorf("%w (%s inlines %s)", err, f.Name, strings.Join(f.Inlined, ", "))
+			}
 			return nil, err
 		}
 		if err := checkUnrollLegality(f, r, res); err != nil {

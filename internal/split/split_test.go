@@ -1,6 +1,7 @@
 package split
 
 import (
+	"strings"
 	"testing"
 
 	"dyncc/internal/ir"
@@ -233,6 +234,31 @@ int f(int *a, int n, int m) {
 	ir.BuildSSA(f)
 	if _, err := Split(f, f.Regions[0]); err == nil {
 		t.Error("expected illegal-unroll error for non-constant bound")
+	}
+}
+
+// TestAnalysisErrorNamesGraftedCallees: the inline pass leaves the
+// analysis of grafted regions to split, so split's analysis error names
+// the callees grafted into the function. A function left out of SSA form
+// stands in for a graft the analysis rejects.
+func TestAnalysisErrorNamesGraftedCallees(t *testing.T) {
+	file, err := parser.Parse(`
+int f(int k, int x) {
+    dynamicRegion (k) { return x + k; }
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := lower.Lower(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := mod.FuncIndex["f"]
+	f.Inlined = []string{"h", "g"}
+	_, err = Split(f, f.Regions[0])
+	if err == nil || !strings.Contains(err.Error(), "not in SSA form") ||
+		!strings.Contains(err.Error(), "f inlines h, g") {
+		t.Errorf("split error = %v, want the analysis error naming h and g", err)
 	}
 }
 

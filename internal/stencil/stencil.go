@@ -5,11 +5,12 @@
 // every stitch of the region afterwards is a memcpy plus a patch loop
 // instead of a walk over the directive structure.
 //
-// The builder is strict: any region whose template structure it cannot
-// prove well-formed (out-of-range hole offsets, loops entered away from
-// their head block, cyclic loop parent chains, terminator/successor
-// mismatches) is left without a stencil and falls back to the stitcher's
-// interpretive path, which reports the matching error at stitch time.
+// The builder is strict: a region whose template structure it cannot
+// prove well-formed (bad or duplicate loop ids, out-of-range loop heads,
+// entries or hole offsets, unknown loops, loops entered away from their
+// head block, cyclic loop parent chains, terminator/successor mismatches)
+// is rejected with an error naming the region. The stencil is the only
+// form the stitcher consumes, so a rejection fails the compilation.
 package stencil
 
 import (
@@ -22,9 +23,9 @@ import (
 
 // Precompile builds stencils for every region that has template blocks
 // (static placeholder regions have none) and returns how many regions were
-// lowered. Regions the builder rejects are skipped, not failed: the
-// stitcher's interpretive fallback preserves the pre-stencil behaviour.
-func Precompile(regions []*tmpl.Region) int {
+// lowered. The first region the builder rejects fails the whole call: no
+// region is left to stitch without a stencil.
+func Precompile(regions []*tmpl.Region) (int, error) {
 	n := 0
 	for _, r := range regions {
 		if r == nil || len(r.Blocks) == 0 {
@@ -32,22 +33,31 @@ func Precompile(regions []*tmpl.Region) int {
 		}
 		s, err := Build(r)
 		if err != nil {
-			continue
+			return n, err
 		}
 		r.Stencil = s
 		n++
 	}
-	return n
+	return n, nil
 }
 
-// Build lowers one region into its stencil form without attaching it.
+// Build lowers one region into its stencil form without attaching it. A
+// rejection's error names the region.
 func Build(r *tmpl.Region) (*tmpl.Stencil, error) {
+	s, err := build(r)
+	if err != nil {
+		return nil, fmt.Errorf("stencil: region %s: %w", r.Name, err)
+	}
+	return s, nil
+}
+
+func build(r *tmpl.Region) (*tmpl.Stencil, error) {
 	b := &builder{r: r}
 	if err := b.index(); err != nil {
 		return nil, err
 	}
 	if r.Entry < 0 || r.Entry >= len(r.Blocks) {
-		return nil, fmt.Errorf("stencil: region %s entry block %d out of range", r.Name, r.Entry)
+		return nil, fmt.Errorf("entry block %d out of range", r.Entry)
 	}
 	s := &tmpl.Stencil{
 		Blocks:       make([]tmpl.StencilBlock, len(r.Blocks)),
@@ -76,7 +86,7 @@ func (b *builder) index() error {
 	maxID := -1
 	for _, l := range r.Loops {
 		if l.ID < 0 {
-			return fmt.Errorf("stencil: region %s has negative loop id %d", r.Name, l.ID)
+			return fmt.Errorf("negative loop id %d", l.ID)
 		}
 		if l.ID > maxID {
 			maxID = l.ID
@@ -86,10 +96,10 @@ func (b *builder) index() error {
 	b.loopByID = make([]*tmpl.Loop, b.nSlots)
 	for _, l := range r.Loops {
 		if b.loopByID[l.ID] != nil {
-			return fmt.Errorf("stencil: region %s has duplicate loop id %d", r.Name, l.ID)
+			return fmt.Errorf("duplicate loop id %d", l.ID)
 		}
 		if l.HeadBlock < 0 || l.HeadBlock >= len(r.Blocks) {
-			return fmt.Errorf("stencil: loop %d head block %d out of range", l.ID, l.HeadBlock)
+			return fmt.Errorf("loop %d head block %d out of range", l.ID, l.HeadBlock)
 		}
 		b.loopByID[l.ID] = l
 	}
@@ -99,10 +109,10 @@ func (b *builder) index() error {
 		id := bk.LoopID
 		for id >= 0 {
 			if id >= b.nSlots || b.loopByID[id] == nil {
-				return fmt.Errorf("stencil: block %d references unknown loop %d", bi, id)
+				return fmt.Errorf("block %d references unknown loop %d", bi, id)
 			}
 			if len(ids) > len(r.Loops) {
-				return fmt.Errorf("stencil: cyclic loop parent chain at block %d", bi)
+				return fmt.Errorf("cyclic loop parent chain at block %d", bi)
 			}
 			ids = append(ids, id)
 			id = b.loopByID[id].ParentID
@@ -118,13 +128,13 @@ func (b *builder) block(bi int, out *tmpl.StencilBlock) error {
 	bk := b.r.Blocks[bi]
 	out.Body = bk.Code
 
-	// Patch table: sorted by Pc; on duplicate offsets the last hole wins,
-	// matching the interpretive path's per-pc hole map.
+	// Patch table: sorted by Pc; on duplicate offsets the last declared
+	// hole wins.
 	if len(bk.Holes) > 0 {
 		ps := make([]tmpl.Patch, 0, len(bk.Holes))
 		for _, h := range bk.Holes {
 			if h.Pc < 0 || h.Pc >= len(bk.Code) {
-				return fmt.Errorf("stencil: block %d hole offset %d out of range", bi, h.Pc)
+				return fmt.Errorf("block %d hole offset %d out of range", bi, h.Pc)
 			}
 			in := bk.Code[h.Pc]
 			p := tmpl.Patch{
@@ -189,10 +199,10 @@ func (b *builder) term(bi int, bk *tmpl.Block, out *tmpl.StencilBlock) error {
 	t := &bk.Term
 	n := succCount(t)
 	if n < 0 {
-		return fmt.Errorf("stencil: block %d has unknown terminator kind %d", bi, t.Kind)
+		return fmt.Errorf("block %d has unknown terminator kind %d", bi, t.Kind)
 	}
 	if len(t.Succs) < n {
-		return fmt.Errorf("stencil: block %d terminator has %d successors, needs %d", bi, len(t.Succs), n)
+		return fmt.Errorf("block %d terminator has %d successors, needs %d", bi, len(t.Succs), n)
 	}
 	st := tmpl.StencilTerm{Kind: t.Kind, CondReg: t.CondReg, Cases: t.Cases}
 	if t.ConstSlot != nil {
@@ -200,7 +210,7 @@ func (b *builder) term(bi int, bk *tmpl.Block, out *tmpl.StencilBlock) error {
 		st.ConstLoop = int32(t.ConstSlot.LoopID)
 		st.ConstSlot = int32(t.ConstSlot.Slot)
 	} else if t.Kind == tmpl.TermSwitch {
-		return fmt.Errorf("stencil: block %d switch without a constant slot", bi)
+		return fmt.Errorf("block %d switch without a constant slot", bi)
 	}
 	if n > 0 {
 		st.Edges = make([]tmpl.EdgePlan, n)
@@ -226,14 +236,14 @@ func (b *builder) edge(from int, e tmpl.Edge) (tmpl.EdgePlan, error) {
 		return tmpl.EdgePlan{Block: -1, ExitPC: int32(e.ExitPC)}, nil
 	}
 	if e.Block >= len(b.r.Blocks) {
-		return tmpl.EdgePlan{}, fmt.Errorf("stencil: block %d edge to out-of-range block %d", from, e.Block)
+		return tmpl.EdgePlan{}, fmt.Errorf("block %d edge to out-of-range block %d", from, e.Block)
 	}
 	p := tmpl.EdgePlan{Block: int32(e.Block)}
 	fromChain := b.chains[from]
 	toChain := b.chains[e.Block]
 	// Entering loops: collected in chain (innermost-first) order, then
 	// reversed so parent records resolve before their children's header
-	// slots are read — the interpretive path's exact order.
+	// slots are read.
 	var entering []int
 	for _, id := range toChain {
 		if !chainHas(fromChain, id) {
@@ -243,7 +253,7 @@ func (b *builder) edge(from int, e tmpl.Edge) (tmpl.EdgePlan, error) {
 	for i := len(entering) - 1; i >= 0; i-- {
 		l := b.loopByID[entering[i]]
 		if l.HeadBlock != e.Block {
-			return tmpl.EdgePlan{}, fmt.Errorf("stencil: loop %d entered at non-head block %d", l.ID, e.Block)
+			return tmpl.EdgePlan{}, fmt.Errorf("loop %d entered at non-head block %d", l.ID, e.Block)
 		}
 		p.Enter = append(p.Enter, tmpl.EnterStep{
 			Loop:    int32(l.ID),

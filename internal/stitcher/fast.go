@@ -1,14 +1,13 @@
 package stitcher
 
-// The copy-and-patch fast path: emission from the precompiled stencils the
-// `stencil` pipeline pass attached to the region (tmpl.Stencil). One block
-// emission is a bulk copy of the body runs between patch points plus a
-// patch loop over the precomputed hole table; loop-record transitions and
-// terminators follow per-edge descriptors instead of re-deriving loop
-// chains from the template structure. The value-dependent emission logic
-// (strength reduction, large-constant interning, immediate fitting) is the
-// same code the interpretive path runs, so the two paths produce
-// byte-identical segments.
+// Emission from the precompiled stencils the `stencil` pipeline pass
+// attached to the region (tmpl.Stencil). One block emission is a bulk copy
+// of the body runs between patch points plus a patch loop over the
+// precomputed hole table; loop-record transitions and terminators follow
+// per-edge descriptors, so no loop chain or hole position is derived at
+// stitch time. Only the value-dependent work (patch.go: strength
+// reduction, large-constant interning, immediate fitting) looks at the
+// constants themselves.
 
 import (
 	"fmt"
@@ -17,12 +16,12 @@ import (
 	"dyncc/internal/vm"
 )
 
-// emitBlockS instantiates stencil block bi under record context ctx
+// emitBlock instantiates stencil block bi under record context ctx
 // (memoized; the entry is installed before emission so record-chain cycles
 // terminate).
-func (st *stitch) emitBlockS(bi int, ctx []int64) (int, error) {
+func (st *stitch) emitBlock(bi int, ctx []int64) (int, error) {
 	tb := &st.sten.Blocks[bi]
-	key := st.memoKeyS(bi, tb.Chain, ctx)
+	key := st.memoKey(bi, tb.Chain, ctx)
 	if pc, ok := st.memoGet(key); ok {
 		return pc, nil
 	}
@@ -39,22 +38,22 @@ func (st *stitch) emitBlockS(bi int, ctx []int64) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		st.patchStencil(p, v)
+		st.patch(p, v)
 		st.stats.HolesPatched++
 		st.stats.CyclesModeled += costPerHole
 		prev = int(p.Pc) + 1
 	}
 	st.out = append(st.out, body[prev:]...)
 
-	if err := st.emitTermS(tb, ctx); err != nil {
+	if err := st.emitTerm(tb, ctx); err != nil {
 		return 0, err
 	}
 	return start, nil
 }
 
-// memoKeyS builds the memo key for a stencil block emission. The stencil
+// memoKey builds the memo key for a stencil block emission. The stencil
 // carries the ascending-id loop chain, so the key is a straight gather.
-func (st *stitch) memoKeyS(bi int, chain []int32, ctx []int64) []int64 {
+func (st *stitch) memoKey(bi int, chain []int32, ctx []int64) []int64 {
 	k := append(st.keyBuf[:0], int64(bi))
 	for _, id := range chain {
 		k = append(k, ctx[id])
@@ -63,41 +62,10 @@ func (st *stitch) memoKeyS(bi int, chain []int32, ctx []int64) []int64 {
 	return k
 }
 
-// patchStencil fills one precompiled hole; it mirrors patch() exactly but
-// dispatches on the precomputed kind instead of re-classifying the opcode.
-func (st *stitch) patchStencil(p *tmpl.Patch, v int64) {
-	switch p.Kind {
-	case tmpl.PatchLDC:
-		in := p.Inst
-		in.Imm = st.largeConst(v)
-		st.add(in)
-	case tmpl.PatchLI:
-		if vm.FitsImm(v) {
-			in := p.Inst
-			in.Imm = v
-			st.add(in)
-		} else {
-			st.add(vm.Inst{Op: vm.LDC, Rd: p.Inst.Rd, Imm: st.largeConst(v)})
-		}
-	default: // PatchALU
-		if !st.opts.NoStrengthReduction && st.strengthReduce(p.Inst, v) {
-			return
-		}
-		if vm.FitsImm(v) {
-			in := p.Inst
-			in.Imm = v
-			st.add(in)
-			return
-		}
-		st.add(vm.Inst{Op: vm.LDC, Rd: vm.RScratch, Imm: st.largeConst(v)})
-		st.add(vm.Inst{Op: p.RegOp, Rd: p.Inst.Rd, Rs: p.Inst.Rs, Rt: vm.RScratch})
-	}
-}
-
-// emitEdgeS follows one precompiled edge and returns the target pc. When
+// emitEdge follows one precompiled edge and returns the target pc. When
 // the edge performs no loop transition the context window is shared with
 // the source block (windows are immutable once built).
-func (st *stitch) emitEdgeS(e *tmpl.EdgePlan, ctx []int64) (int, error) {
+func (st *stitch) emitEdge(e *tmpl.EdgePlan, ctx []int64) (int, error) {
 	if e.Block < 0 {
 		return st.add(vm.Inst{Op: vm.XFER, Target: int(e.ExitPC)}), nil
 	}
@@ -134,13 +102,12 @@ func (st *stitch) emitEdgeS(e *tmpl.EdgePlan, ctx []int64) (int, error) {
 			st.stats.CyclesModeled += costPerIter
 		}
 	}
-	return st.emitBlockS(int(e.Block), nctx)
+	return st.emitBlock(int(e.Block), nctx)
 }
 
-// emitTermS resolves a precompiled terminator; the emission order (false
-// edge before true edge on two-way branches) matches the interpretive path
-// instruction for instruction.
-func (st *stitch) emitTermS(tb *tmpl.StencilBlock, ctx []int64) error {
+// emitTerm resolves a precompiled terminator. A two-way branch on a
+// run-time predicate emits its false edge before its true edge.
+func (st *stitch) emitTerm(tb *tmpl.StencilBlock, ctx []int64) error {
 	t := &tb.Term
 	switch t.Kind {
 	case tmpl.TermRet:
@@ -148,7 +115,7 @@ func (st *stitch) emitTermS(tb *tmpl.StencilBlock, ctx []int64) error {
 
 	case tmpl.TermJump:
 		brPC := st.add(vm.Inst{Op: vm.BR})
-		tpc, err := st.emitEdgeS(&t.Edges[0], ctx)
+		tpc, err := st.emitEdge(&t.Edges[0], ctx)
 		if err != nil {
 			return err
 		}
@@ -167,7 +134,7 @@ func (st *stitch) emitTermS(tb *tmpl.StencilBlock, ctx []int64) error {
 			st.stats.BranchesResolved++
 			st.stats.CyclesModeled += costPerBranch
 			brPC := st.add(vm.Inst{Op: vm.BR})
-			tpc, err := st.emitEdgeS(e, ctx)
+			tpc, err := st.emitEdge(e, ctx)
 			if err != nil {
 				return err
 			}
@@ -176,11 +143,11 @@ func (st *stitch) emitTermS(tb *tmpl.StencilBlock, ctx []int64) error {
 		}
 		bnezPC := st.add(vm.Inst{Op: vm.BNEZ, Rs: t.CondReg})
 		brPC := st.add(vm.Inst{Op: vm.BR})
-		fpc, err := st.emitEdgeS(&t.Edges[1], ctx)
+		fpc, err := st.emitEdge(&t.Edges[1], ctx)
 		if err != nil {
 			return err
 		}
-		tpc, err := st.emitEdgeS(&t.Edges[0], ctx)
+		tpc, err := st.emitEdge(&t.Edges[0], ctx)
 		if err != nil {
 			return err
 		}
@@ -202,7 +169,7 @@ func (st *stitch) emitTermS(tb *tmpl.StencilBlock, ctx []int64) error {
 		st.stats.BranchesResolved++
 		st.stats.CyclesModeled += costPerBranch
 		brPC := st.add(vm.Inst{Op: vm.BR})
-		tpc, err := st.emitEdgeS(e, ctx)
+		tpc, err := st.emitEdge(e, ctx)
 		if err != nil {
 			return err
 		}

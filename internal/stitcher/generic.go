@@ -28,6 +28,7 @@ package stitcher
 
 import (
 	"fmt"
+	"slices"
 
 	"dyncc/internal/tmpl"
 	"dyncc/internal/vm"
@@ -211,7 +212,7 @@ func (g *generic) emitEdge(from int, e tmpl.Edge) error {
 	// Entering loops: outermost-first so parent records resolve first.
 	var entering []int
 	for _, id := range toChain {
-		if !inChain(fromChain, id) {
+		if !slices.Contains(fromChain, id) {
 			entering = append(entering, id)
 		}
 	}
@@ -227,7 +228,7 @@ func (g *generic) emitEdge(from int, e tmpl.Edge) error {
 	// Back edge: advance along the record chain.
 	for _, id := range toChain {
 		l := g.loops[id]
-		if l.HeadBlock == e.Block && inChain(fromChain, id) {
+		if l.HeadBlock == e.Block && slices.Contains(fromChain, id) {
 			if !vm.FitsImm(int64(l.NextSlot)) {
 				return fmt.Errorf("generic: record link offset %d exceeds the immediate field", l.NextSlot)
 			}

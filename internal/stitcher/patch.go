@@ -3,30 +3,36 @@ package stitcher
 import (
 	"math/bits"
 
+	"dyncc/internal/tmpl"
 	"dyncc/internal/vm"
 )
 
-// patch emits instruction in with hole value v filled. Integer values that
-// fit the immediate field are patched directly; oversized values are routed
-// through the linearized large-constant table (paper section 4); multiplies
-// and unsigned divides/mods by suitable constants are strength-reduced.
-func (st *stitch) patch(in vm.Inst, v int64) {
-	switch in.Op {
-	case vm.LDC:
+// patch emits the hole instruction p with value v filled, dispatching on
+// the kind the stencil builder precomputed. Integer values that fit the
+// immediate field are patched directly; oversized values are routed
+// through the linearized large-constant table (paper section 4);
+// multiplies and unsigned divides/mods by suitable constants are
+// strength-reduced.
+func (st *stitch) patch(p *tmpl.Patch, v int64) {
+	switch p.Kind {
+	case tmpl.PatchLDC:
+		in := p.Inst
 		in.Imm = st.largeConst(v)
 		st.add(in)
-	case vm.LI:
+	case tmpl.PatchLI:
 		if vm.FitsImm(v) {
+			in := p.Inst
 			in.Imm = v
 			st.add(in)
 		} else {
-			st.add(vm.Inst{Op: vm.LDC, Rd: in.Rd, Imm: st.largeConst(v)})
+			st.add(vm.Inst{Op: vm.LDC, Rd: p.Inst.Rd, Imm: st.largeConst(v)})
 		}
-	default:
-		if !st.opts.NoStrengthReduction && st.strengthReduce(in, v) {
+	default: // PatchALU
+		if !st.opts.NoStrengthReduction && st.strengthReduce(p.Inst, v) {
 			return
 		}
 		if vm.FitsImm(v) {
+			in := p.Inst
 			in.Imm = v
 			st.add(in)
 			return
@@ -35,7 +41,7 @@ func (st *stitch) patch(in vm.Inst, v int64) {
 		// table into the stitcher's scratch register and use the
 		// register-register form.
 		st.add(vm.Inst{Op: vm.LDC, Rd: vm.RScratch, Imm: st.largeConst(v)})
-		st.add(vm.Inst{Op: vm.ImmToRegForm(in.Op), Rd: in.Rd, Rs: in.Rs, Rt: vm.RScratch})
+		st.add(vm.Inst{Op: p.RegOp, Rd: p.Inst.Rd, Rs: p.Inst.Rs, Rt: vm.RScratch})
 	}
 }
 

@@ -207,6 +207,7 @@ func TestStitchUnrolledLoop(t *testing.T) {
 		}},
 		Entry: 0,
 	}
+	withStencil(t, region)
 	seg, stats, err := Stitch(region, mem, tbl, parent, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -258,6 +259,7 @@ func TestStitchConstSwitch(t *testing.T) {
 		},
 		Entry: 0,
 	}
+	withStencil(t, region)
 	seg, _, err := Stitch(region, mem, tbl, parent, Options{})
 	if err != nil {
 		t.Fatal(err)

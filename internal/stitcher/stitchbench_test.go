@@ -1,6 +1,7 @@
 package stitcher
 
 import (
+	"strings"
 	"testing"
 
 	"dyncc/internal/stencil"
@@ -78,45 +79,39 @@ func withStencil(tb testing.TB, region *tmpl.Region) {
 	region.Stencil = s
 }
 
-// TestBenchRegionIdentity pins the benchmark's two subjects to byte
-// identity: the hand-built loop region must stitch to the same segment on
-// both paths (testgen covers compiler-produced regions; this covers the
-// synthetic one the benchmarks time).
+// TestBenchRegionIdentity pins what the benchmark region stitches to: 32
+// unrolled iterations and 33 patched holes (one preheader hole plus one
+// per iteration).
 func TestBenchRegionIdentity(t *testing.T) {
 	parent := &vm.Segment{Name: "f", Code: make([]vm.Inst, 20), Region: -1}
-
-	interp, mem, tbl := benchRegion(32)
-	iseg, istats, err := Stitch(interp, mem, tbl, parent, Options{})
+	region, mem, tbl := benchRegion(32)
+	withStencil(t, region)
+	_, stats, err := Stitch(region, mem, tbl, parent, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sten, _, _ := benchRegion(32)
-	withStencil(t, sten)
-	sseg, sstats, err := Stitch(sten, mem, tbl, parent, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if istats.StencilPath || !sstats.StencilPath {
-		t.Fatalf("path mix-up: interp=%v stencil=%v", istats.StencilPath, sstats.StencilPath)
-	}
-	if sstats.LoopIterations != 32 || sstats.HolesPatched != 33 {
-		t.Errorf("stencil stitch did %d iterations, %d holes; want 32, 33",
-			sstats.LoopIterations, sstats.HolesPatched)
-	}
-	if len(iseg.Code) != len(sseg.Code) {
-		t.Fatalf("code length diverges: %d vs %d", len(iseg.Code), len(sseg.Code))
-	}
-	for i := range iseg.Code {
-		if iseg.Code[i] != sseg.Code[i] {
-			t.Fatalf("code[%d] diverges: %+v vs %+v", i, iseg.Code[i], sseg.Code[i])
-		}
-	}
-	if len(iseg.Consts) != len(sseg.Consts) {
-		t.Fatalf("const pool diverges: %v vs %v", iseg.Consts, sseg.Consts)
+	if stats.LoopIterations != 32 || stats.HolesPatched != 33 {
+		t.Errorf("stitch did %d iterations, %d holes; want 32, 33",
+			stats.LoopIterations, stats.HolesPatched)
 	}
 }
 
-// TestStitchStencilWarmZeroAllocs is the fast path's allocation budget:
+// TestStitchWithoutStencil: the stencil is the stitcher's only input
+// form, so a region the `stencil` pass did not precompile is an error,
+// for a full stitch and a dry one alike.
+func TestStitchWithoutStencil(t *testing.T) {
+	parent := &vm.Segment{Name: "f", Code: make([]vm.Inst, 20), Region: -1}
+	region, mem, tbl := benchRegion(4)
+	if _, _, err := Stitch(region, mem, tbl, parent, Options{}); err == nil ||
+		!strings.Contains(err.Error(), "no stencil") {
+		t.Errorf("Stitch without a stencil: err = %v", err)
+	}
+	if _, err := DryStitch(region, mem, tbl, Options{}); err == nil {
+		t.Error("DryStitch without a stencil succeeded")
+	}
+}
+
+// TestStitchStencilWarmZeroAllocs is the stitcher's allocation budget:
 // emission on warm scratch (everything up to segment materialization) must
 // not allocate at all. A private scratch stands in for the pool so GC
 // clearing sync.Pool cannot flake the count.
@@ -159,11 +154,11 @@ func TestStitchAllocBudget(t *testing.T) {
 	}
 }
 
-func benchStitch(b *testing.B, precompiled bool) {
+// BenchmarkStitchStencil times a full stitch of the 32-iteration loop
+// region (emission + segment materialization).
+func BenchmarkStitchStencil(b *testing.B) {
 	region, mem, tbl := benchRegion(32)
-	if precompiled {
-		withStencil(b, region)
-	}
+	withStencil(b, region)
 	parent := &vm.Segment{Name: "f", Code: make([]vm.Inst, 20), Region: -1}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -174,11 +169,11 @@ func benchStitch(b *testing.B, precompiled bool) {
 	}
 }
 
-func benchDryStitch(b *testing.B, precompiled bool) {
+// BenchmarkDryStitchStencil isolates emission (no segment built); warm,
+// this is the allocation-free loop the zero-allocs test pins.
+func BenchmarkDryStitchStencil(b *testing.B) {
 	region, mem, tbl := benchRegion(32)
-	if precompiled {
-		withStencil(b, region)
-	}
+	withStencil(b, region)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -187,18 +182,3 @@ func benchDryStitch(b *testing.B, precompiled bool) {
 		}
 	}
 }
-
-// BenchmarkStitch times a full interpretive stitch of the 32-iteration
-// loop region (emission + segment materialization).
-func BenchmarkStitch(b *testing.B) { benchStitch(b, false) }
-
-// BenchmarkStitchStencil times the same stitch on the copy-and-patch fast
-// path.
-func BenchmarkStitchStencil(b *testing.B) { benchStitch(b, true) }
-
-// BenchmarkDryStitch isolates interpretive emission (no segment built).
-func BenchmarkDryStitch(b *testing.B) { benchDryStitch(b, false) }
-
-// BenchmarkDryStitchStencil isolates fast-path emission; warm, this is the
-// allocation-free loop the zero-allocs test pins.
-func BenchmarkDryStitchStencil(b *testing.B) { benchDryStitch(b, true) }

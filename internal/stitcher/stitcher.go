@@ -7,23 +7,14 @@
 // linearized table for large and non-integer constants, and applying
 // peephole strength reduction that exploits the actual constant values.
 //
-// The stitcher has two emission paths producing byte-identical segments:
-//
-//   - The stencil fast path (fast.go) consumes the copy-and-patch stencils
-//     the `stencil` pipeline pass precompiled into each region: block
-//     bodies are bulk-copied between patch points and every hole, loop
-//     transition and terminator follows a precomputed descriptor. Warm, it
-//     performs no allocation until the finished segment is materialized.
-//   - The interpretive path (this file) walks the raw template structure,
-//     re-deriving loop chains and hole positions per emission. It is the
-//     semantic reference, the `-disable-pass stencil` ablation baseline,
-//     and the fallback for regions without stencils (hand-built test
-//     regions, or builds with the pass disabled).
-//
-// Both paths share the record-context representation (dense per-loop
-// windows bump-allocated from an arena), the integer-keyed emission memo
-// table, the value-dependent patch logic, and the post-emission cleanup
-// passes, which is what makes byte-for-byte equality hold by construction.
+// Emission (fast.go) consumes the copy-and-patch stencils the `stencil`
+// pipeline pass precompiled into each region: block bodies are bulk-copied
+// between patch points and every hole, loop transition and terminator
+// follows a precomputed descriptor. Record contexts are dense per-loop
+// windows bump-allocated from an arena, and block emissions are memoized
+// in an integer-keyed table. Warm, emission performs no allocation until
+// the finished segment is materialized. A region without a stencil cannot
+// be stitched: Stitch returns an error for it.
 package stitcher
 
 import (
@@ -60,10 +51,6 @@ type Stats struct {
 	StoresPromoted     int
 	CyclesModeled      uint64
 	Fusion             vm.FuseStats // post-stitch superinstruction fusion
-	// StencilPath records whether this stitch ran on the precompiled
-	// copy-and-patch fast path (false: interpretive fallback). The two
-	// paths produce byte-identical segments and identical counters above.
-	StencilPath bool
 }
 
 // Modeled cycle costs of stitcher work, charged per action. The stitcher
@@ -100,14 +87,17 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // Stitch instantiates region's templates against the run-time constants
 // table at tableBase in mem, producing an executable segment whose exits
-// XFER back into parent. When the region carries a precompiled stencil the
-// copy-and-patch fast path is used; otherwise the interpretive path.
+// XFER back into parent. The region must carry the precompiled stencil the
+// `stencil` pipeline pass attaches; a region without one is an error.
 // Stitch is safe to call concurrently (the runtime singleflights
 // concurrent stitches of the same specialization, but distinct
 // specializations may stitch in parallel).
 func Stitch(region *tmpl.Region, mem []int64, tableBase int64,
 	parent *vm.Segment, opts Options) (*vm.Segment, *Stats, error) {
 
+	if err := checkStencil(region); err != nil {
+		return nil, nil, err
+	}
 	sc := scratchPool.Get().(*scratch)
 	st := &sc.st
 	st.begin(region, mem, tableBase, opts)
@@ -123,14 +113,17 @@ func Stitch(region *tmpl.Region, mem []int64, tableBase int64,
 
 // DryStitch runs the full emission pipeline — block walk, hole patching,
 // branch resolution, loop unrolling, peephole cleanup — without
-// materializing a segment. It exists for the BenchmarkDryStitch pair: on
-// warm scratch the stencil path's dry stitch is allocation-free, so
-// DryStitch isolates emission cost from the segment allocations of a real
-// stitch (fused code, PCMap, segment, exec plan and stats: at most 10
-// objects, TestStitchAllocBudget).
+// materializing a segment. On warm scratch a dry stitch is
+// allocation-free, so DryStitch (BenchmarkDryStitchStencil) isolates
+// emission cost from the segment allocations of a real stitch (fused code,
+// PCMap, segment, exec plan and stats: at most 10 objects,
+// TestStitchAllocBudget).
 func DryStitch(region *tmpl.Region, mem []int64, tableBase int64,
 	opts Options) (Stats, error) {
 
+	if err := checkStencil(region); err != nil {
+		return Stats{}, err
+	}
 	sc := scratchPool.Get().(*scratch)
 	st := &sc.st
 	st.begin(region, mem, tableBase, opts)
@@ -144,9 +137,17 @@ func DryStitch(region *tmpl.Region, mem []int64, tableBase int64,
 	return stats, err
 }
 
+// checkStencil rejects a region the `stencil` pass did not precompile.
+func checkStencil(region *tmpl.Region) error {
+	if region.Stencil == nil {
+		return fmt.Errorf("stitch: region %s has no stencil", region.Name)
+	}
+	return nil
+}
+
 type stitch struct {
 	r    *tmpl.Region
-	sten *tmpl.Stencil // region's precompiled stencils, nil on the interpretive path
+	sten *tmpl.Stencil // region's precompiled stencils
 	mem  []int64
 	tbl  int64
 	opts Options
@@ -157,9 +158,8 @@ type stitch struct {
 
 	// Emission memo table: open addressing over integer keys held in a
 	// flat arena. A key is the block index followed by the active record
-	// address of each enclosing unrolled loop in ascending-id order; it
-	// identifies one emission of a block exactly as the old string ctxKey
-	// did, without the per-emission fmt/sort/map cost.
+	// address of each enclosing unrolled loop in ascending-id order, so it
+	// identifies one emission of a block.
 	memoSlots   []int32 // hash slot -> memoEntries index, or -1
 	memoEntries []memoEntry
 	memoKeys    []int64
@@ -170,13 +170,6 @@ type stitch struct {
 	// chunked arena so windows never move as the arena grows.
 	ctx    ctxArena
 	nSlots int // window length: 1 + the region's max loop id
-
-	// Interpretive-path state.
-	loopByID []*tmpl.Loop
-	fromBuf  []int // chain scratch
-	toBuf    []int
-	sortBuf  []int
-	enterBuf []int
 
 	// Cleanup-pass scratch (peephole, NOP stripping, dead-write marking).
 	pcBuf   []int
@@ -213,26 +206,7 @@ func (st *stitch) begin(region *tmpl.Region, mem []int64, tableBase int64, opts 
 	st.ctx.reset()
 	st.statsVal = Stats{}
 	st.stats = &st.statsVal
-
-	if st.sten != nil {
-		st.stats.StencilPath = true
-		st.nSlots = st.sten.NumLoopSlots
-		return
-	}
-	maxID := -1
-	for _, l := range region.Loops {
-		if l.ID > maxID {
-			maxID = l.ID
-		}
-	}
-	st.nSlots = maxID + 1
-	st.loopByID = st.loopByID[:0]
-	for i := 0; i <= maxID; i++ {
-		st.loopByID = append(st.loopByID, nil)
-	}
-	for _, l := range region.Loops {
-		st.loopByID[l.ID] = l
-	}
+	st.nSlots = st.sten.NumLoopSlots
 }
 
 // release trims oversized buffers, drops every reference to caller-owned
@@ -256,22 +230,13 @@ func (st *stitch) release(sc *scratch) {
 	}
 	st.ctx.trim(maxPooledCtxChunks)
 	st.r, st.sten, st.mem, st.stats = nil, nil, nil, nil
-	for i := range st.loopByID {
-		st.loopByID[i] = nil
-	}
 	scratchPool.Put(sc)
 }
 
-// emit runs block emission from the region entry plus the shared cleanup
+// emit runs block emission from the region entry plus the cleanup
 // passes, leaving the finished code in st.out.
 func (st *stitch) emit() error {
-	var entryPC int
-	var err error
-	if st.sten != nil {
-		entryPC, err = st.emitBlockS(int(st.sten.Entry), st.rootCtx())
-	} else {
-		entryPC, err = st.emitBlock(st.r.Entry, st.rootCtx())
-	}
+	entryPC, err := st.emitBlock(int(st.sten.Entry), st.rootCtx())
 	if err != nil {
 		return err
 	}
@@ -295,7 +260,7 @@ func (st *stitch) emit() error {
 // materialize builds the exact-size executable segment from the finished
 // emission. Fusion reads st.out without modifying it and returns its own
 // exact-size copy, so the emission is copied once either way. A warm
-// stencil-path stitch allocates only here: the fused code and its PCMap,
+// stitch allocates only here: the fused code and its PCMap,
 // the constant table (when there are large constants), the segment and
 // its three-array exec plan; the segment name is the stencil's.
 func (st *stitch) materialize(parent *vm.Segment) *vm.Segment {
@@ -321,12 +286,8 @@ func (st *stitch) materialize(parent *vm.Segment) *vm.Segment {
 		consts = make([]int64, len(st.consts))
 		copy(consts, st.consts)
 	}
-	name := st.r.Name + tmpl.StitchedSuffix // interpretive path: no stencil
-	if st.sten != nil {
-		name = st.sten.SegName
-	}
 	seg := &vm.Segment{
-		Name:     name,
+		Name:     st.sten.SegName,
 		Code:     code,
 		Consts:   consts,
 		Parent:   parent,
@@ -475,7 +436,7 @@ func keysEqual(a, b []int64) bool {
 	return true
 }
 
-// ---- shared slot resolution ----
+// ---- slot resolution ----
 
 // readRef resolves an integer-coded slot reference (loopID -1 = region
 // table, else the loop's active record) and reads its value.
@@ -494,10 +455,6 @@ func (st *stitch) readRef(loopID, slot int, ctx []int64) (int64, error) {
 	return st.mem[a], nil
 }
 
-func (st *stitch) readSlot(ref tmpl.SlotRef, ctx []int64) (int64, error) {
-	return st.readRef(ref.LoopID, ref.Slot, ctx)
-}
-
 // largeConst interns v in the linearized large-constant table.
 func (st *stitch) largeConst(v int64) int64 {
 	if i, ok := st.cindex[v]; ok {
@@ -509,250 +466,6 @@ func (st *stitch) largeConst(v int64) int64 {
 	st.stats.LargeConsts++
 	st.stats.CyclesModeled += costPerLConst
 	return int64(i)
-}
-
-// ---- interpretive path ----
-
-// chainInto writes the enclosing-loop ids of block bi into *buf,
-// innermost first, and returns the filled slice.
-func (st *stitch) chainInto(buf *[]int, bi int) []int {
-	ids := (*buf)[:0]
-	id := st.r.Blocks[bi].LoopID
-	for id >= 0 {
-		ids = append(ids, id)
-		id = st.loopByID[id].ParentID
-	}
-	*buf = ids
-	return ids
-}
-
-func inChain(chain []int, id int) bool {
-	for _, c := range chain {
-		if c == id {
-			return true
-		}
-	}
-	return false
-}
-
-// memoKeyI builds the integer memo key for one interpretive emission of
-// block bi: the block index, then the active record of each enclosing loop
-// in ascending-id order (a tiny insertion sort — chains are a handful of
-// ids — replacing the old sort.Ints + strings.Builder key).
-func (st *stitch) memoKeyI(bi int, ctx []int64) []int64 {
-	ids := st.sortBuf[:0]
-	id := st.r.Blocks[bi].LoopID
-	for id >= 0 {
-		cur := id
-		pos := len(ids)
-		ids = append(ids, 0)
-		for pos > 0 && ids[pos-1] > cur {
-			ids[pos] = ids[pos-1]
-			pos--
-		}
-		ids[pos] = cur
-		id = st.loopByID[cur].ParentID
-	}
-	st.sortBuf = ids
-	k := append(st.keyBuf[:0], int64(bi))
-	for _, lid := range ids {
-		k = append(k, ctx[lid])
-	}
-	st.keyBuf = k
-	return k
-}
-
-// transition computes the record context for following the edge from -> to,
-// reading header slots when entering loops and advancing along the record
-// chain on back edges. The new window carries only the target's chain
-// loops; everything else is masked to "no active record".
-func (st *stitch) transition(from, to int, ctx []int64) ([]int64, error) {
-	fromChain := st.chainInto(&st.fromBuf, from)
-	toChain := st.chainInto(&st.toBuf, to)
-	nctx := st.ctx.alloc(st.nSlots)
-	for i := range nctx {
-		nctx[i] = -1
-	}
-	for _, id := range toChain {
-		nctx[id] = ctx[id]
-	}
-	// Entering loops: outermost-first so parent records resolve.
-	entering := st.enterBuf[:0]
-	for _, id := range toChain {
-		if !inChain(fromChain, id) {
-			entering = append(entering, id)
-		}
-	}
-	st.enterBuf = entering
-	for i := len(entering) - 1; i >= 0; i-- {
-		l := st.loopByID[entering[i]]
-		if l.HeadBlock != to {
-			return nil, fmt.Errorf("stitch: loop %d entered at non-head block %d", l.ID, to)
-		}
-		rec, err := st.readSlot(l.HeaderSlot, nctx)
-		if err != nil {
-			return nil, err
-		}
-		nctx[l.ID] = rec
-	}
-	// Back edge: advance to the next record (RESTART_LOOP).
-	for _, id := range toChain {
-		l := st.loopByID[id]
-		if l.HeadBlock == to && inChain(fromChain, id) {
-			rec := nctx[id]
-			if rec < 0 {
-				return nil, fmt.Errorf("stitch: no active record for loop %d", id)
-			}
-			a := rec + int64(l.NextSlot)
-			if a < 0 || a >= int64(len(st.mem)) {
-				return nil, fmt.Errorf("stitch: record link out of bounds (%d)", a)
-			}
-			nctx[id] = st.mem[a]
-			st.stats.LoopIterations++
-			st.stats.CyclesModeled += costPerIter
-		}
-	}
-	return nctx, nil
-}
-
-// emitEdge emits (or reuses) the code for following edge e out of block
-// `from` and returns the target pc.
-func (st *stitch) emitEdge(from int, e tmpl.Edge, ctx []int64) (int, error) {
-	if e.Block < 0 {
-		// Region exit: a transfer stub back into the enclosing function.
-		pc := st.add(vm.Inst{Op: vm.XFER, Target: e.ExitPC})
-		return pc, nil
-	}
-	nctx, err := st.transition(from, e.Block, ctx)
-	if err != nil {
-		return 0, err
-	}
-	return st.emitBlock(e.Block, nctx)
-}
-
-// emitBlock instantiates block bi under record context ctx (memoized; the
-// memo entry is installed before emission so record-chain cycles
-// terminate).
-func (st *stitch) emitBlock(bi int, ctx []int64) (int, error) {
-	key := st.memoKeyI(bi, ctx)
-	if pc, ok := st.memoGet(key); ok {
-		return pc, nil
-	}
-	start := len(st.out)
-	st.memoPut(key, start)
-	st.stats.CyclesModeled += costPerBlock
-
-	b := st.r.Blocks[bi]
-	holes := b.Holes
-	sorted := true
-	for i := 1; i < len(holes); i++ {
-		if holes[i].Pc < holes[i-1].Pc {
-			sorted = false
-			break
-		}
-	}
-	hi := 0
-	for pc, in := range b.Code {
-		var h *tmpl.Hole
-		if sorted {
-			for hi < len(holes) && holes[hi].Pc < pc {
-				hi++
-			}
-			for j := hi; j < len(holes) && holes[j].Pc == pc; j++ {
-				h = &holes[j] // duplicates: last wins
-			}
-		} else {
-			for j := range holes {
-				if holes[j].Pc == pc {
-					h = &holes[j]
-				}
-			}
-		}
-		if h != nil {
-			v, err := st.readSlot(h.Slot, ctx)
-			if err != nil {
-				return 0, err
-			}
-			st.patch(in, v)
-			st.stats.HolesPatched++
-			st.stats.CyclesModeled += costPerHole
-		} else {
-			st.add(in)
-		}
-	}
-
-	t := b.Term
-	switch t.Kind {
-	case tmpl.TermRet:
-		st.add(vm.Inst{Op: vm.RET})
-
-	case tmpl.TermJump:
-		brPC := st.add(vm.Inst{Op: vm.BR})
-		tpc, err := st.emitEdge(bi, t.Succs[0], ctx)
-		if err != nil {
-			return 0, err
-		}
-		st.out[brPC].Target = tpc
-
-	case tmpl.TermBr:
-		if t.ConstSlot != nil {
-			// CONST_BRANCH: resolve now; the untaken path is dead code.
-			v, err := st.readSlot(*t.ConstSlot, ctx)
-			if err != nil {
-				return 0, err
-			}
-			e := t.Succs[1]
-			if v != 0 {
-				e = t.Succs[0]
-			}
-			st.stats.BranchesResolved++
-			st.stats.CyclesModeled += costPerBranch
-			brPC := st.add(vm.Inst{Op: vm.BR})
-			tpc, err := st.emitEdge(bi, e, ctx)
-			if err != nil {
-				return 0, err
-			}
-			st.out[brPC].Target = tpc
-			break
-		}
-		bnezPC := st.add(vm.Inst{Op: vm.BNEZ, Rs: t.CondReg})
-		brPC := st.add(vm.Inst{Op: vm.BR})
-		fpc, err := st.emitEdge(bi, t.Succs[1], ctx)
-		if err != nil {
-			return 0, err
-		}
-		tpc, err := st.emitEdge(bi, t.Succs[0], ctx)
-		if err != nil {
-			return 0, err
-		}
-		st.out[bnezPC].Target = tpc
-		st.out[brPC].Target = fpc
-
-	case tmpl.TermSwitch:
-		v, err := st.readSlot(*t.ConstSlot, ctx)
-		if err != nil {
-			return 0, err
-		}
-		e := t.Succs[len(t.Cases)] // default
-		for i, c := range t.Cases {
-			if c == v {
-				e = t.Succs[i]
-				break
-			}
-		}
-		st.stats.BranchesResolved++
-		st.stats.CyclesModeled += costPerBranch
-		brPC := st.add(vm.Inst{Op: vm.BR})
-		tpc, err := st.emitEdge(bi, e, ctx)
-		if err != nil {
-			return 0, err
-		}
-		st.out[brPC].Target = tpc
-
-	default:
-		return 0, fmt.Errorf("stitch: unknown terminator kind %d", t.Kind)
-	}
-	return start, nil
 }
 
 // ---- scratch growth helpers ----

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dyncc/internal/stencil"
 	"dyncc/internal/tmpl"
 	"dyncc/internal/vm"
 )
@@ -25,10 +26,28 @@ func execSnippet(t *testing.T, code []vm.Inst, r20 int64, consts []int64) int64 
 	return v
 }
 
+// holePatch returns the precompiled patch the stencil builder makes for a
+// one-instruction region whose only instruction is a hole.
+func holePatch(in vm.Inst) *tmpl.Patch {
+	s, err := stencil.Build(&tmpl.Region{
+		Name: "t:r0",
+		Blocks: []*tmpl.Block{{
+			Code:   []vm.Inst{in},
+			Holes:  []tmpl.Hole{{Pc: 0, Slot: tmpl.SlotRef{LoopID: -1, Slot: 0}}},
+			Term:   tmpl.Term{Kind: tmpl.TermRet},
+			LoopID: -1,
+		}},
+	})
+	if err != nil {
+		panic(err)
+	}
+	return &s.Blocks[0].Patches[0]
+}
+
 // patchOne runs the stitcher's patch logic on a single instruction.
 func patchOne(in vm.Inst, v int64, opts Options) ([]vm.Inst, []int64, *Stats) {
 	st := &stitch{opts: opts, cindex: map[int64]int{}, stats: &Stats{}}
-	st.patch(in, v)
+	st.patch(holePatch(in), v)
 	return st.out, st.consts, st.stats
 }
 
@@ -114,8 +133,8 @@ func TestLargeConstantsGoToLinearizedTable(t *testing.T) {
 	}
 	// Interning: the same constant is stored once.
 	st := &stitch{opts: Options{}, cindex: map[int64]int{}, stats: &Stats{}}
-	st.patch(vm.Inst{Op: vm.LI, Rd: 21}, big)
-	st.patch(vm.Inst{Op: vm.LI, Rd: 22}, big)
+	st.patch(holePatch(vm.Inst{Op: vm.LI, Rd: 21}), big)
+	st.patch(holePatch(vm.Inst{Op: vm.LI, Rd: 22}), big)
 	if len(st.consts) != 1 {
 		t.Errorf("constant not interned: %v", st.consts)
 	}
@@ -183,6 +202,7 @@ func TestStitchMinimalRegion(t *testing.T) {
 		},
 		Entry: 0,
 	}
+	withStencil(t, region)
 	seg, stats, err := Stitch(region, mem, tbl, parent, Options{})
 	if err != nil {
 		t.Fatal(err)

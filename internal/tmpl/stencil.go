@@ -1,10 +1,9 @@
 // Stencil is the copy-and-patch lowering of a region's templates,
 // precompiled at static-compile time by the `stencil` pipeline pass
-// (internal/stencil). Where the plain stitcher re-interprets the
-// directive structure on every stitch — rebuilding per-block hole maps
-// per unrolled iteration, re-deriving loop chains, formatting string memo
-// keys — a stencil flattens all of that into arrays the stitcher's fast
-// path can consume with a memcpy and a patch loop:
+// (internal/stencil). Everything about the directive structure that does
+// not depend on the run-time constants — per-block hole positions, loop
+// chains, per-edge loop transitions, memo key layouts — is flattened into
+// arrays the stitcher consumes with a memcpy and a patch loop:
 //
 //   - Body is the block's template code verbatim; Patches is a flat,
 //     Pc-sorted table of (offset, kind, slot) holes, so instantiation
@@ -16,19 +15,18 @@
 //     of being re-derived from the loop chains per emission;
 //   - Chain is the block's enclosing-loop id set in ascending order, the
 //     integer-coded memoization key layout (block id followed by the
-//     active record of each chain loop) that replaces the stitcher's old
-//     fmt-built string keys.
+//     active record of each chain loop).
 //
-// The stitcher's interpretive path remains the semantic reference (and
-// the `-disable-pass stencil` ablation baseline); a stencil stitch must
-// produce byte-identical segments.
+// The stencil is the stitcher's only input form; its semantic reference
+// is the unoptimized-IR interpreter the differential tests compare
+// against.
 package tmpl
 
 import "dyncc/internal/vm"
 
-// PatchKind classifies how a stencil hole is filled. The kinds mirror the
-// stitcher's patch dispatch so the fast path switches on a byte instead of
-// re-classifying the instruction per emission.
+// PatchKind classifies how a stencil hole is filled, so the stitcher
+// switches on a byte instead of re-classifying the instruction per
+// emission.
 type PatchKind uint8
 
 // Patch kinds.

@@ -115,9 +115,8 @@ type Region struct {
 	Shareable bool
 
 	// Stencil is the region's precompiled copy-and-patch form, attached by
-	// the `stencil` pipeline pass (see stencil.go). Nil when the pass is
-	// disabled or precompilation declined the region; the stitcher then
-	// falls back to interpreting the template structure directly.
+	// the `stencil` pipeline pass (see stencil.go): the only form the
+	// stitcher consumes. Nil only for regions without template blocks.
 	Stencil *Stencil
 
 	// Auto marks regions synthesized by the autoregion pass. The runtime
