@@ -8,6 +8,8 @@ all: check
 # - everything builds, gofmt and vet are clean, and the full suite passes
 #   (including the pass-ablation sweep and the paper-output golden,
 #   TestPaperGolden);
+# - perfbench, its own Go module (so `go build ./...` skips it), vets and
+#   passes its self-checks against the runtime API it reads (rtr.CacheStats);
 # - the cache/eviction/async-stitch machinery (rtr) and the vm and
 #   stitcher packages run whole under the race detector: their pooled
 #   scratch (fusion's and the stitcher's) is shared by concurrent stitch
@@ -28,7 +30,8 @@ all: check
 #   raced here);
 # - the bounded-cache churn test (TestCacheChurnBounded) under the race
 #   detector with two procs, so the shared cache's cap admission races
-#   even on a one-vCPU box;
+#   even on a one-vCPU box (its async run quiesces the stitch pool after
+#   every call, so its hit-rate floor does not depend on worker speed);
 # - race-enabled automatic-promotion (annotation-stripped programs
 #   promoting, guarding and deoptimizing) and call-boundary (inlined vs
 #   ablated) sweep smokes against the reference;
@@ -42,6 +45,7 @@ check:
 		echo "gofmt: these files need formatting:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race -timeout 120s ./internal/rtr
 	$(GO) test -race -timeout 120s ./internal/vm ./internal/stitcher
 	$(GO) test -race -timeout 120s -run 'TestPersistentStoreRoundTrip' .

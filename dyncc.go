@@ -132,8 +132,11 @@ type CacheOptions struct {
 	// same specialization are no longer deduplicated.
 	NoShare bool
 	// MaxEntries / MaxCodeBytes bound the shared cache (segments resident
-	// across all machines; 0 = unbounded) with a sharded CLOCK policy.
-	// In-flight stitches are pinned and never evicted.
+	// across all machines; 0 = unbounded). In-flight stitches are pinned
+	// and never evicted. Both caches evict with one CLOCK policy: a hit
+	// sets a segment's reference bit, and the hand clears set bits and
+	// evicts the first clear segment, whose slot the newest segment then
+	// takes, so an unhit newcomer is the next candidate.
 	MaxEntries   int
 	MaxCodeBytes int64
 	// MaxEntriesPerRegion / MaxCodeBytesPerRegion bound any single
@@ -141,7 +144,7 @@ type CacheOptions struct {
 	MaxEntriesPerRegion   int
 	MaxCodeBytesPerRegion int64
 	// MachineMaxEntries bounds each machine's private cache (segments
-	// across regions, 0 = unbounded) with second-chance FIFO eviction.
+	// across regions, 0 = unbounded), with the same CLOCK policy.
 	MachineMaxEntries int
 	// ChurnStats enables the per-region churn histogram (CacheChurn).
 	ChurnStats bool

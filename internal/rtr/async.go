@@ -1,41 +1,24 @@
 // Asynchronous background stitching (CacheOptions.AsyncStitch): the
 // tiered-execution pipeline that takes stitching off the caller's critical
-// path.
+// path (DESIGN.md "Tiered execution").
 //
-// With async stitching on, a shared-cache miss of an eligible region does
-// not stitch inline. Instead the missing machine:
-//
-//  1. claims the (region, key) singleflight entry (coalescing with the
-//     existing latch: concurrent missers of the same key schedule exactly
-//     one stitch) and enqueues a job on a bounded queue served by a small
-//     worker pool — with backpressure: a full queue withdraws the claim,
-//     counts a QueueReject, and leaves the key for a later miss to retry;
-//  2. runs this call on the generic fallback tier (set-up code plus the
-//     region's unspecialized stitcher.Generic segment), so the call
-//     completes at roughly statically-compiled speed while the stitch
-//     happens elsewhere.
-//
-// A worker re-derives the region's run-time constants table from the key
-// bytes alone (Runtime.KeySetup, installed by the compiler for regions it
-// proved Shareable — set-up provably depends only on the key values, so
-// the worker needs no machine), stitches against a private arena, and
-// publishes: it runs the inline winner's own produce and publish steps, so
-// the store consult and the generation fencing are the same code. An entry
-// invalidated (or explicitly flushed) while in flight is discarded, never
-// published (CacheStats.AsyncDiscards).
-// Eviction interacts as always — in-flight entries are pinned because only
-// published entries join the CLOCK ring, and publishing makes room first.
-//
-// Promotion: the published entry is found by the very next lookupShared of
-// that key, and the adopting machine installs it in its level-2 map, so
-// the call after publish takes the warm zero-alloc DYNENTER path
-// (TestAsyncPromotionNextCall). PromoteLatency histograms the
-// schedule-to-publish time.
+// A shared-cache miss of an eligible region claims the (region, key)
+// singleflight entry, so concurrent missers schedule one stitch, and
+// enqueues a job on a bounded queue served by a small worker pool; a full
+// queue withdraws the claim (CacheStats.QueueRejects) and a later miss
+// retries. The call itself runs on the generic fallback tier (set-up code
+// plus the region's stitcher.Generic segment). A worker rebuilds the
+// region's run-time constants table from the key bytes alone
+// (Runtime.KeySetup, installed for regions proved Shareable), then runs
+// the inline winner's own produce and publish steps, so the store consult,
+// the generation fence and the caps are the same code; an entry
+// invalidated in flight is discarded (CacheStats.AsyncDiscards). The next
+// lookup of the key adopts the published segment into its machine's
+// level-2 cache (TestAsyncPromotionNextCall); PromoteLatency histograms
+// the schedule-to-publish time.
 //
 // Eligibility is per region: AsyncStitch on, a KeySetup function present,
-// and the generic segment buildable (regions with more unrolled loops than
-// the reserved record registers, or holes the generic renderer cannot
-// defer, fall back to inline stitching — never to a wrong result).
+// and the generic segment buildable; any other region stitches inline.
 package rtr
 
 import (
@@ -43,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
 	"time"
 
 	"dyncc/internal/stitcher"
@@ -69,21 +53,19 @@ var (
 	errRuntimeClosed  = errors.New("rtr: runtime closed")
 )
 
-// stitchJob is one queued background stitch. The entry was already claimed
-// (mapped in its shard) by the scheduling machine.
+// stitchJob is one queued background stitch of e.key. The entry was
+// already claimed (mapped in its shard) by the scheduling machine.
 type stitchJob struct {
-	region int
-	key    string
-	e      *entry
-	enq    time.Time
+	e   *entry
+	enq time.Time
 }
 
-// genericSlot lazily caches a region's generic-tier segment (guarded by
-// Runtime.genericMu). seg stays nil when the region cannot be rendered
-// generically; the region then stitches inline.
+// genericSlot lazily caches a region's generic-tier segment, built once.
+// seg stays nil when the region cannot be rendered generically; the region
+// then stitches inline.
 type genericSlot struct {
-	built bool
-	seg   *vm.Segment
+	once sync.Once
+	seg  *vm.Segment
 }
 
 // asyncFallback decides whether a cold (region, key) takes the async path.
@@ -106,16 +88,10 @@ func (rt *Runtime) asyncFallback(region int, ks string) *vm.Segment {
 // use (nil if the region cannot be rendered generically).
 func (rt *Runtime) generic(region int) *vm.Segment {
 	gs := &rt.generics[region]
-	rt.genericMu.Lock()
-	defer rt.genericMu.Unlock()
-	if !gs.built {
-		gs.built = true
+	gs.once.Do(func() {
 		r := rt.Regions[region]
-		seg, err := stitcher.Generic(r, rt.Prog.Segs[r.FuncID], rt.Opts.Stitcher)
-		if err == nil {
-			gs.seg = seg
-		}
-	}
+		gs.seg, _ = stitcher.Generic(r, rt.Prog.Segs[r.FuncID], rt.Opts.Stitcher)
+	})
 	return gs.seg
 }
 
@@ -149,7 +125,7 @@ func (rt *Runtime) schedule(region int, ks string) {
 	rt.startWorkers()
 	rt.inflight.Add(1)
 	select {
-	case rt.jobs <- stitchJob{region: region, key: ks, e: e, enq: time.Now()}:
+	case rt.jobs <- stitchJob{e: e, enq: time.Now()}:
 		rt.closeMu.RUnlock()
 	default:
 		rt.closeMu.RUnlock()
@@ -203,8 +179,9 @@ func (rt *Runtime) worker() {
 // counts as neither an async stitch nor a discard — nothing was stitched.
 func (rt *Runtime) runJob(job stitchJob) {
 	defer rt.inflight.Add(-1)
-	gen := rt.gens[job.region].Load()
-	seg, stats, err := rt.produce(job.region, job.key, gen, tableSource{})
+	region := job.e.key.region
+	gen := rt.gens[region].Load()
+	seg, stats, err := rt.produce(region, job.e.key.key, gen, tableSource{})
 	kept := rt.publish(job.e, gen, seg, stats, err)
 	if err != nil {
 		return
@@ -222,7 +199,7 @@ func (rt *Runtime) runJob(job stitchJob) {
 		return
 	}
 	rt.notePromote(time.Since(job.enq))
-	rt.keepStitched(job.region, seg)
+	rt.keepStitched(region, seg)
 }
 
 // decodeKey reverses appendKey/encodeKey: n varint-encoded key-register
@@ -309,27 +286,17 @@ func (rt *Runtime) closeAsync() {
 	})
 }
 
-// Peek returns the published shared-cache segment for (region, key-values)
+// Peek returns the resident shared-cache segment for (region, key-values)
 // without touching the lookup counters or reference bits — a diagnostics
 // accessor (is this specialization resident?) used by the byte-identity
 // tests.
 func (rt *Runtime) Peek(region int, keyVals ...int64) *vm.Segment {
 	ks := encodeKey(keyVals)
 	sh := rt.shardFor(region, ks)
-	ck := cacheKey{region: region, key: ks}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e, ok := sh.entries[ck]
-	if !ok {
-		return nil
-	}
-	select {
-	case <-e.done:
-		if e.err != nil {
-			return nil
-		}
+	if e, ok := sh.resident.peek(cacheKey{region: region, key: ks}); ok {
 		return e.seg
-	default:
-		return nil
 	}
+	return nil
 }

@@ -47,7 +47,8 @@ type CacheOptions struct {
 	// MaxEntries bounds the number of resident segments in the shared
 	// (level-1) cache across all regions and shards (0 = unbounded).
 	// In-flight singleflight entries are pinned and do not count against
-	// the cap; eviction uses a per-shard CLOCK (second-chance) policy.
+	// the cap. Both cache levels evict with one CLOCK policy (see clock.go):
+	// an unhit newcomer is the next candidate.
 	MaxEntries int
 	// MaxCodeBytes bounds the resident stitched-code footprint of the
 	// shared cache in bytes (0 = unbounded), using vm.Segment.MemFootprint
@@ -65,9 +66,8 @@ type CacheOptions struct {
 	// shard completes.
 	MaxCodeBytesPerRegion int64
 	// MachineMaxEntries bounds each machine's private (level-2) cache
-	// (total segments across regions, 0 = unbounded). Eviction is
-	// second-chance FIFO: a slot referenced since it was last considered
-	// gets one more pass before it is dropped.
+	// (total segments across regions, 0 = unbounded), with MaxEntries'
+	// CLOCK policy.
 	MachineMaxEntries int
 
 	// ChurnStats enables the optional per-region churn histogram
@@ -122,16 +122,14 @@ type cacheKey struct {
 // seg/err. Entries whose stitch failed are removed so a later attempt can
 // retry (the error is still delivered to every waiter of that attempt).
 //
-// Lifecycle: an entry is *in-flight* from creation until done is closed
-// (pinned — the eviction clock never sees it, because only published
-// entries join the shard ring), then *resident* once published into the
-// ring, until evicted or invalidated. gen snapshots the region generation
-// at claim time; lookups reject entries whose generation is stale, so a
-// segment stitched against data invalidated mid-flight is served to its
-// waiters (they began before the invalidation) but never retained.
-// InvalidateKey refreshes gen on the keys it spares; storeGen, the
-// generation the segment's store digest was derived under, is set once at
-// publish and never refreshed, so invalidation deletes the right blob.
+// An entry is *in-flight* in its shard's inflight map (pinned: eviction
+// never sees it) until publish makes it *resident* in the shard's clock
+// table. gen snapshots the region generation at claim time and lookups
+// reject stale ones, so a segment stitched against data invalidated
+// mid-flight is served to its waiters but never retained; InvalidateKey
+// refreshes gen on the keys it spares. storeGen, the generation the
+// segment's store digest was derived under, is set once at publish and
+// never refreshed, so invalidation deletes the right blob.
 type entry struct {
 	key  cacheKey
 	gen  uint64 // region generation at claim time
@@ -141,22 +139,20 @@ type entry struct {
 
 	// Guarded by the owning shard's mutex.
 	bytes    int64  // seg.MemFootprint(), cached at publish
-	ref      bool   // CLOCK reference bit, set on every shared hit
-	slot     int    // index in the shard's ring; -1 when not resident
 	storeGen uint64 // generation the segment was persisted or loaded under
 }
 
-// shard is one lock domain of the shared cache. Stitcher statistics and
-// cache counters are accumulated per shard and folded on read so the
-// stitch path never takes a runtime-global lock.
+// shard is one lock domain of the shared cache. A key is in at most one of
+// inflight and resident. Stitcher statistics and cache counters are
+// accumulated per shard and folded on read so the stitch path never takes
+// a runtime-global lock.
 type shard struct {
-	mu      sync.Mutex
-	entries map[cacheKey]*entry
-	ring    []*entry         // resident entries, in CLOCK order
-	hand    int              // CLOCK hand into ring
-	stats   []stitcher.Stats // per region index
-	churn   []RegionChurn    // per region index; only with ChurnStats
-	evicted evictLog         // recent capacity evictions, for restitch detection
+	mu       sync.Mutex
+	inflight map[cacheKey]*entry // claimed, not yet published
+	resident clock[*entry]       // published entries, evicted by CLOCK
+	stats    []stitcher.Stats    // per region index
+	churn    []RegionChurn       // per region index; only with ChurnStats
+	evicted  evictLog            // recent capacity evictions, for restitch detection
 
 	// Monotonic counters (never decremented; see CacheStats for the
 	// lookup invariant).
@@ -184,8 +180,7 @@ func numShards(opt int) int {
 }
 
 // appendKey encodes the key-register values staged at DYNENTER into buf
-// (varint-encoded, reusing buf's capacity). This replaces the seed's
-// fmt.Sprintf key building, which allocated on every DYNENTER.
+// (varint-encoded, reusing buf's capacity, so DYNENTER does not allocate).
 func appendKey(buf []byte, m *vm.Machine, r *tmpl.Region) []byte {
 	for _, reg := range r.KeyRegs {
 		buf = binary.AppendVarint(buf, m.Regs[reg])
@@ -230,14 +225,19 @@ func (rt *Runtime) shardFor(region int, key string) *shard {
 //
 // (see TestLookupAccountingInvariant). A lookup that finds an in-flight
 // entry is a wait — the caller will coalesce onto that stitch — not a
-// miss; the seed double-counted it as both.
+// miss.
 func (rt *Runtime) lookupShared(region int, key string) *vm.Segment {
 	sh := rt.shardFor(region, key)
 	ck := cacheKey{region: region, key: key}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.lookups++
-	e, ok := sh.entries[ck]
+	// A resident hit sets the reference bit. A completed entry can still
+	// be in flight: its publish has not yet taken this lock.
+	e, ok := sh.resident.get(ck)
+	if !ok {
+		e, ok = sh.inflight[ck]
+	}
 	if !ok {
 		sh.misses++
 		return nil
@@ -259,7 +259,6 @@ func (rt *Runtime) lookupShared(region int, key string) *vm.Segment {
 			return nil
 		}
 		sh.hits++
-		e.ref = true
 		return e.seg
 	default:
 		sh.waits++
@@ -277,12 +276,15 @@ func (rt *Runtime) claim(region int, key string) (e *entry, gen uint64, won bool
 	ck := cacheKey{region: region, key: key}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if e, ok := sh.entries[ck]; ok {
+	if e, ok := sh.inflight[ck]; ok {
+		return e, 0, false
+	}
+	if e, ok := sh.resident.peek(ck); ok {
 		return e, 0, false
 	}
 	gen = rt.gens[region].Load()
-	e = &entry{key: ck, gen: gen, done: make(chan struct{}), slot: -1}
-	sh.entries[ck] = e
+	e = &entry{key: ck, gen: gen, done: make(chan struct{})}
+	sh.inflight[ck] = e
 	return e, gen, true
 }
 
@@ -353,9 +355,12 @@ func (rt *Runtime) publish(e *entry, gen uint64, seg *vm.Segment,
 	region := e.key.region
 	sh := rt.shardFor(region, e.key.key)
 	sh.mu.Lock()
+	// Whatever the outcome, e is no longer in flight (a flush while it was
+	// has already unmapped it).
+	mapped := sh.inflight[e.key] == e
+	sh.dropLocked(rt, e)
 	if err != nil {
 		sh.failedStitches++
-		sh.dropLocked(rt, e)
 		sh.mu.Unlock()
 		return false
 	}
@@ -366,8 +371,7 @@ func (rt *Runtime) publish(e *entry, gen uint64, seg *vm.Segment,
 	if stats != nil {
 		sh.noteStitchLocked(rt, region, stats, restitch)
 	}
-	if e.gen != rt.gens[region].Load() || sh.entries[e.key] != e || !rt.admitLocked(sh, e) {
-		sh.dropLocked(rt, e)
+	if !mapped || e.gen != rt.gens[region].Load() || !rt.admitLocked(sh, e) {
 		sh.mu.Unlock()
 		return false
 	}
@@ -413,7 +417,11 @@ func (sh *shard) noteStitchLocked(rt *Runtime, region int, st *stitcher.Stats, r
 	for region >= len(sh.stats) {
 		sh.stats = append(sh.stats, stitcher.Stats{})
 	}
-	s := &sh.stats[region]
+	addStats(&sh.stats[region], st)
+}
+
+// addStats adds st's counters into s.
+func addStats(s, st *stitcher.Stats) {
 	s.InstsStitched += st.InstsStitched
 	s.HolesPatched += st.HolesPatched
 	s.BranchesResolved += st.BranchesResolved
@@ -444,16 +452,7 @@ func (rt *Runtime) Stats(r int) stitcher.Stats {
 		sh := &rt.shards[i]
 		sh.mu.Lock()
 		if r < len(sh.stats) {
-			s := &sh.stats[r]
-			out.InstsStitched += s.InstsStitched
-			out.HolesPatched += s.HolesPatched
-			out.BranchesResolved += s.BranchesResolved
-			out.LoopIterations += s.LoopIterations
-			out.StrengthReductions += s.StrengthReductions
-			out.LargeConsts += s.LargeConsts
-			out.LoadsPromoted += s.LoadsPromoted
-			out.StoresPromoted += s.StoresPromoted
-			out.CyclesModeled += s.CyclesModeled
+			addStats(&out, &sh.stats[r])
 		}
 		sh.mu.Unlock()
 	}

@@ -1,22 +1,14 @@
-// Eviction machinery for the shared (level-1) stitch cache: a per-shard
-// CLOCK (second-chance) policy enforcing the global and per-region entry
-// and code-byte caps, plus a bounded log of recent evictions so re-stitches
-// of previously evicted keys are observable (CacheStats.Restitches).
+// Eviction machinery for the shared (level-1) stitch cache: admission
+// against the global and per-region entry and code-byte caps, eviction
+// from each shard's clock table (clock.go, the policy both cache tiers
+// share), and a bounded log of recent evictions so re-stitches of evicted
+// keys are observable (CacheStats.Restitches).
 //
 // Resident accounting lives in runtime-global atomics (resident,
 // residentBytes and their per-region slices) so a publishing shard can
-// check the caps without touching any other shard's lock. Room is made
-// *before* a new entry is published: while over a cap, the publishing
-// shard evicts from its own ring; if its ring is empty it steals an
-// eviction from a sibling shard via TryLock, which cannot deadlock.
-// Admission against the entry caps is atomic: a publisher claims its slot
-// with a compare-and-swap that never takes a count past its cap, so two
-// shards publishing at once cannot both take the last slot, and a
-// publisher that finds nothing to evict leaves its entry uncached. The
-// byte caps are best effort before publish and restored by reclaim after
-// it.
-// In-flight singleflight entries never join a ring, so they are pinned by
-// construction.
+// check the caps without touching any other shard's lock (see
+// admitLocked). In-flight singleflight entries live in the shard's
+// inflight map, never in its table, so they are pinned by construction.
 package rtr
 
 import "sync/atomic"
@@ -57,10 +49,8 @@ func (l *evictLog) add(k cacheKey) {
 
 // remove reports whether k was logged, forgetting it (a re-stitched key is
 // resident again; it re-enters the log if evicted again). The freed slot is
-// reclaimed by swapping the last key in — an earlier version left a
-// permanent dead hole counting against evictLogSize, so a shard cycling
-// restitches shrank the log's effective window (and undercounted
-// Restitches) a little more with every removal.
+// reclaimed by swapping the last key in, so removals never shrink the
+// log's window.
 func (l *evictLog) remove(k cacheKey) bool {
 	i, ok := l.idx[k]
 	if !ok {
@@ -79,23 +69,22 @@ func (l *evictLog) remove(k cacheKey) bool {
 	return true
 }
 
-// dropLocked removes a resident entry without counting an eviction
-// (invalidation and stale-generation cleanup).
+// dropLocked forgets e, in flight or resident, without counting an
+// eviction (failed or declined publishes, stale generations). An entry a
+// later claim has replaced is left alone.
 func (sh *shard) dropLocked(rt *Runtime, e *entry) {
-	if sh.entries[e.key] == e {
-		delete(sh.entries, e.key)
-	}
-	if e.slot < 0 {
+	if sh.inflight[e.key] == e {
+		delete(sh.inflight, e.key)
 		return
 	}
-	last := len(sh.ring) - 1
-	sh.ring[e.slot] = sh.ring[last]
-	sh.ring[e.slot].slot = e.slot
-	sh.ring = sh.ring[:last]
-	if sh.hand > last {
-		sh.hand = 0
+	if v, ok := sh.resident.peek(e.key); ok && v == e {
+		sh.resident.remove(e.key)
+		rt.release(e)
 	}
-	e.slot = -1
+}
+
+// release takes an entry that left a shard's table off the counters.
+func (rt *Runtime) release(e *entry) {
 	rt.resident.Add(-1)
 	rt.residentBytes.Add(-e.bytes)
 	if r := e.key.region; r >= 0 && r < len(rt.regionResident) {
@@ -104,41 +93,21 @@ func (sh *shard) dropLocked(rt *Runtime, e *entry) {
 	}
 }
 
-// evictOneLocked runs the CLOCK hand over the shard's ring and evicts one
-// resident entry, honouring reference bits (an entry hit since the hand
-// last passed gets a second chance). region restricts candidates to one
-// region (-1 = any). Reports whether anything was evicted; false only if
-// the ring holds no candidate at all.
+// evictOneLocked evicts one resident entry of region (-1 = any) from the
+// shard's table and counts it. Reports whether anything was evicted; false
+// only if the table holds no candidate at all.
 func (sh *shard) evictOneLocked(rt *Runtime, region int) bool {
-	n := len(sh.ring)
-	if n == 0 {
+	e, ok := sh.resident.evict(region)
+	if !ok {
 		return false
 	}
-	// Two sweeps suffice: the first clears every candidate's reference
-	// bit, so the second must find a victim (if any candidate exists).
-	for scanned := 0; scanned < 2*n; scanned++ {
-		if sh.hand >= len(sh.ring) {
-			sh.hand = 0
-		}
-		e := sh.ring[sh.hand]
-		if region >= 0 && e.key.region != region {
-			sh.hand++
-			continue
-		}
-		if e.ref {
-			e.ref = false
-			sh.hand++
-			continue
-		}
-		sh.dropLocked(rt, e)
-		sh.evictions++
-		sh.evicted.add(e.key)
-		if rt.Opts.Cache.ChurnStats {
-			sh.churnLocked(e.key.region).Evictions++
-		}
-		return true
+	rt.release(e)
+	sh.evictions++
+	sh.evicted.add(e.key)
+	if rt.Opts.Cache.ChurnStats {
+		sh.churnLocked(e.key.region).Evictions++
 	}
-	return false
+	return true
 }
 
 // overBytes / regionOverBytes report whether publishing one more entry of
@@ -167,18 +136,16 @@ func claimSlot(n *atomic.Int64, max int) bool {
 	}
 }
 
-// admitLocked makes a completed entry resident if room can be made: it
-// evicts until the caps admit e, then joins e to the shard's CLOCK ring
-// and the resident counters. It runs with sh.mu held (the publishing
-// shard). The global caps are satisfied first, then the region's, and each
-// eviction prefers the local ring over stealing from a sibling. Entry slots
-// are claimed atomically (see claimSlot), so the entry caps are never
-// exceeded. When an entry cap is full and no shard it can lock holds a
-// victim, it reports false and e is not cached; the caller serves e's
-// waiters without retaining it, as for an entry invalidated in flight.
-// Waiting for a locked sibling instead could deadlock two publishers that
-// each hold the shard with the other's victims. The byte caps are best
-// effort here, and reclaim restores them after publish.
+// admitLocked makes a completed entry resident if room can be made: with
+// sh.mu held (the publishing shard), it evicts until the caps admit e,
+// global caps first, each eviction preferring sh's own table over stealing
+// from a sibling, then puts e in sh's table and on the resident counters.
+// Entry slots are claimed atomically (see claimSlot), so the entry caps are
+// never exceeded. When an entry cap is full and no shard it can lock holds
+// a victim, it reports false and e is not cached: waiting for a locked
+// sibling could deadlock two publishers that each hold the shard with the
+// other's victims. The byte caps are best effort here; reclaim restores
+// them after publish.
 func (rt *Runtime) admitLocked(sh *shard, e *entry) bool {
 	c := &rt.Opts.Cache
 	// r >= 0: region -1 is a documented segment sentinel; an entry carrying
@@ -204,8 +171,7 @@ func (rt *Runtime) admitLocked(sh *shard, e *entry) bool {
 			return false
 		}
 	}
-	e.slot = len(sh.ring)
-	sh.ring = append(sh.ring, e)
+	sh.resident.put(e.key, e)
 	rt.residentBytes.Add(e.bytes)
 	if tracked {
 		rt.regionBytes[r].Add(e.bytes)
@@ -214,7 +180,7 @@ func (rt *Runtime) admitLocked(sh *shard, e *entry) bool {
 	return true
 }
 
-// evictFor evicts one entry of region (-1: any), from sh's own ring if it
+// evictFor evicts one entry of region (-1: any), from sh's own table if it
 // holds a candidate and otherwise from a sibling's. It reports false when
 // no shard it could lock had a candidate.
 func (rt *Runtime) evictFor(sh *shard, region int) bool {
@@ -242,7 +208,7 @@ func (rt *Runtime) stealEviction(sh *shard, region int) bool {
 // reclaim restores the byte caps after a publish, sweeping shards with
 // full locks (the caller holds none). It bounds the transient overshoot
 // left when admitLocked could not evict enough bytes — the publishing
-// shard's ring was empty and every sibling was mid-publish — to the
+// shard's table was empty and every sibling was mid-publish — to the
 // duration of those publishes. The entry caps need no reclaim: admission
 // never exceeds them.
 func (rt *Runtime) reclaim(region int) {

@@ -50,8 +50,8 @@ func TestLookupAccountingInvariant(t *testing.T) {
 	// 3: in-flight entry counts as a wait, not a miss.
 	shB := rt.shardFor(0, "b")
 	shB.mu.Lock()
-	shB.entries[cacheKey{0, "b"}] = &entry{key: cacheKey{0, "b"},
-		done: make(chan struct{}), slot: -1}
+	shB.inflight[cacheKey{0, "b"}] = &entry{key: cacheKey{0, "b"},
+		done: make(chan struct{})}
 	shB.mu.Unlock()
 	if got := rt.lookupShared(0, "b"); got != nil {
 		t.Fatal("in-flight entry must not be served")
@@ -59,10 +59,10 @@ func TestLookupAccountingInvariant(t *testing.T) {
 	// 4: completed-but-failed entry is a failedHit, not a miss.
 	shC := rt.shardFor(0, "c")
 	ec := &entry{key: cacheKey{0, "c"}, done: make(chan struct{}),
-		err: errors.New("boom"), slot: -1}
+		err: errors.New("boom")}
 	close(ec.done)
 	shC.mu.Lock()
-	shC.entries[cacheKey{0, "c"}] = ec
+	shC.inflight[cacheKey{0, "c"}] = ec
 	shC.mu.Unlock()
 	if got := rt.lookupShared(0, "c"); got != nil {
 		t.Fatal("failed entry must not be served")
@@ -85,7 +85,7 @@ func TestClockSecondChance(t *testing.T) {
 	rt := testRuntime(CacheOptions{Shards: 1, MaxEntries: 8}, 1)
 	segA, segB, segC := &vm.Segment{}, &vm.Segment{}, &vm.Segment{}
 	addCompleted(rt, 0, "a", segA)
-	eb := addCompleted(rt, 0, "b", segB)
+	addCompleted(rt, 0, "b", segB)
 	addCompleted(rt, 0, "c", segC)
 	if got := rt.resident.Load(); got != 3 {
 		t.Fatalf("resident = %d, want 3", got)
@@ -95,11 +95,11 @@ func TestClockSecondChance(t *testing.T) {
 	if rt.lookupShared(0, "b") != segB {
 		t.Fatal("lookup b")
 	}
-	if !eb.ref {
+	sh := &rt.shards[0]
+	if !sh.resident.slots[slotOf(&sh.resident, cacheKey{0, "b"})].ref {
 		t.Fatal("hit did not set the reference bit")
 	}
 
-	sh := &rt.shards[0]
 	sh.mu.Lock()
 	ok1 := sh.evictOneLocked(rt, -1)
 	ok2 := sh.evictOneLocked(rt, -1)
@@ -170,54 +170,57 @@ func TestL2SecondChanceCap(t *testing.T) {
 	rt := testRuntime(CacheOptions{MachineMaxEntries: 3}, 1)
 	ms := newMachineState(rt)
 	seg := &vm.Segment{}
+	k0 := cacheKey{0, "k0"}
 	for i := 0; i < 10; i++ {
 		ms.put(rt, 0, fmt.Sprintf("k%d", i), seg)
-		if ms.count > 3 {
-			t.Fatalf("L2 count %d exceeds cap 3 after insert %d", ms.count, i)
+		if ms.l2.len() > 3 {
+			t.Fatalf("L2 count %d exceeds cap 3 after insert %d", ms.l2.len(), i)
 		}
 		// Keep k-first hot: reference it whenever resident.
-		if s, ok := ms.cache[0]["k0"]; ok {
-			s.ref = true
-		}
+		ms.l2.get(k0)
 	}
-	if _, ok := ms.cache[0]["k0"]; !ok {
+	if _, ok := ms.l2.peek(k0); !ok {
 		t.Error("referenced slot was evicted before unreferenced ones")
 	}
-	if got := len(ms.cache[0]); got != ms.count {
-		t.Errorf("count %d disagrees with map size %d", ms.count, got)
+	if got := indexed(&ms.l2); got != ms.l2.len() {
+		t.Errorf("count %d disagrees with map size %d", ms.l2.len(), got)
 	}
 	if rt.l2Evictions.Load() == 0 {
 		t.Error("no L2 evictions counted")
 	}
 
 	ms.flushRegion(0, 1)
-	if ms.count != 0 || ms.cache[0] != nil {
-		t.Errorf("flush left count=%d", ms.count)
+	if ms.l2.len() != 0 || indexed(&ms.l2) != 0 {
+		t.Errorf("flush left count=%d", ms.l2.len())
 	}
-	// Stale FIFO refs from before the flush must not confuse later
-	// eviction or break the cap.
+	// Keys cached before the flush must not confuse later eviction or
+	// break the cap.
 	for i := 0; i < 6; i++ {
 		ms.put(rt, 0, fmt.Sprintf("n%d", i), seg)
 	}
-	if ms.count > 3 {
-		t.Errorf("count %d exceeds cap after flush+refill", ms.count)
+	if ms.l2.len() > 3 {
+		t.Errorf("count %d exceeds cap after flush+refill", ms.l2.len())
 	}
 }
 
-// TestL2FifoCompaction: repeated invalidation cycles must not grow the
-// FIFO unboundedly even though every flush strands its queue entries.
-func TestL2FifoCompaction(t *testing.T) {
-	rt := testRuntime(CacheOptions{MachineMaxEntries: 4}, 1)
+// TestL2FlushCycles: repeated invalidation cycles must leave no slot
+// storage behind: every flush removes its region's slots, so after 200
+// fill-evict-flush cycles the table holds exactly its live slots.
+func TestL2FlushCycles(t *testing.T) {
+	rt := testRuntime(CacheOptions{MachineMaxEntries: 4}, 2)
 	ms := newMachineState(rt)
 	seg := &vm.Segment{}
 	for gen := uint64(1); gen <= 200; gen++ {
-		for i := 0; i < 4; i++ {
+		for i := 0; i < 6; i++ {
 			ms.put(rt, 0, fmt.Sprintf("g%dk%d", gen, i), seg)
 		}
 		ms.flushRegion(0, gen)
 	}
-	if len(ms.fifo) > 2*ms.count+64 {
-		t.Errorf("fifo grew to %d refs for %d live slots", len(ms.fifo), ms.count)
+	ms.put(rt, 1, "a", seg)
+	ms.put(rt, 1, "b", seg)
+	if n := ms.l2.len(); n != 2 || indexed(&ms.l2) != 2 {
+		t.Errorf("table holds %d slots and %d index entries, want the 2 live slots",
+			n, indexed(&ms.l2))
 	}
 }
 
@@ -303,15 +306,12 @@ func TestAdmissionNeverExceedsCap(t *testing.T) {
 	publish := func(i, j int) (bool, error) {
 		sh := &rt.shards[i]
 		ck := cacheKey{region: j % 2, key: fmt.Sprintf("s%d-%d", i, j)}
-		e := &entry{key: ck, done: make(chan struct{}), seg: &vm.Segment{}, slot: -1}
+		e := &entry{key: ck, done: make(chan struct{}), seg: &vm.Segment{}}
 		close(e.done)
 		sh.mu.Lock()
-		sh.entries[ck] = e
 		ok := rt.admitLocked(sh, e)
 		if ok {
 			admitted.Add(1)
-		} else {
-			delete(sh.entries, ck)
 		}
 		sh.mu.Unlock()
 		if n := rt.regionResident[ck.region].Load(); n > maxRegion {
@@ -371,11 +371,10 @@ func TestAdmissionDeclinesWhenVictimsLocked(t *testing.T) {
 	rt := testRuntime(CacheOptions{Shards: 2, MaxEntriesPerRegion: 1}, 2)
 	plant := func(sh *shard, region int, key string) *entry {
 		ck := cacheKey{region: region, key: key}
-		e := &entry{key: ck, done: make(chan struct{}), seg: &vm.Segment{}, slot: -1}
+		e := &entry{key: ck, done: make(chan struct{}), seg: &vm.Segment{}}
 		close(e.done)
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		sh.entries[ck] = e
 		if !rt.admitLocked(sh, e) {
 			t.Fatalf("%v not admitted into an empty cache", ck)
 		}
@@ -385,7 +384,7 @@ func TestAdmissionDeclinesWhenVictimsLocked(t *testing.T) {
 	plant(sh0, 1, "r1")
 	plant(sh1, 0, "r0")
 
-	e := &entry{key: cacheKey{region: 0, key: "new"}, done: make(chan struct{}), slot: -1}
+	e := &entry{key: cacheKey{region: 0, key: "new"}, done: make(chan struct{})}
 	close(e.done)
 	sh1.mu.Lock() // a sibling mid-publish holds region 0's only victim
 	sh0.mu.Lock()
@@ -408,4 +407,13 @@ func TestAdmissionDeclinesWhenVictimsLocked(t *testing.T) {
 	if n := rt.regionResident[0].Load(); n != 1 || sh1.evictions != 1 {
 		t.Errorf("region 0 = %d entries, shard 1 evictions = %d; want 1 and 1", n, sh1.evictions)
 	}
+}
+
+// indexed counts a table's index entries across regions.
+func indexed[V any](c *clock[V]) int {
+	n := 0
+	for _, m := range c.idx {
+		n += len(m)
+	}
+	return n
 }

@@ -13,8 +13,7 @@ package rtr
 //	Lookups == SharedHits + Waits + FailedHits + Misses
 //
 // at every instant: each lookup is classified exactly once under its
-// shard's lock (the seed counted an in-flight or failed entry as a miss
-// *and* later as a wait, so misses overcounted and no invariant held).
+// shard's lock.
 type CacheStats struct {
 	// Lookup classification (level-1 lookups by machines that missed
 	// their private cache).
@@ -26,9 +25,7 @@ type CacheStats struct {
 
 	// Stitch outcomes. Stitches is a monotonic counter incremented at
 	// stitch time (singleflight winners plus private stitches of
-	// non-shareable regions); the seed derived it by scanning resident
-	// entries, so failed stitches were never counted and every eviction
-	// would have silently decremented it.
+	// non-shareable regions), so evictions never decrement it.
 	Stitches       uint64
 	FailedStitches uint64
 	// StencilStitches counts successful stitches from a region's

@@ -113,17 +113,12 @@ func hasAuto(regions []*tmpl.Region) bool {
 }
 
 // initAuto allocates the promotion state (called from New when the program
-// has Auto regions). The generic tier must be constructible, so the
-// generics slots are allocated here too when async stitching did not
-// already do so.
+// has Auto regions).
 func (rt *Runtime) initAuto() {
 	rt.auto = make([]autoState, len(rt.Regions))
 	for i := range rt.auto {
 		rt.auto[i].threshold = rt.Opts.Auto.promoteThreshold()
 		rt.auto[i].stab = analysis.NewStability(rt.Opts.Auto.StabilityWindow)
-	}
-	if rt.generics == nil {
-		rt.generics = make([]genericSlot, len(rt.Regions))
 	}
 }
 
@@ -145,12 +140,11 @@ func (rt *Runtime) autoEnter(m *vm.Machine, ms *machineState, region int,
 		ms.keyBuf = key
 		ks := string(key)
 		rt.observe(region, ks, r)
-		if slot, ok := ms.cache[region][ks]; ok {
+		if seg, ok := ms.l2.get(cacheKey{region, ks}); ok {
 			// Rare: a segment stitched while profiling (generic tier
 			// unavailable for this region). Reuse it instead of
 			// re-stitching; its guards pass — this is the keyed lookup.
-			slot.ref = true
-			return slot.seg, nil
+			return seg, nil
 		}
 		ms.pending[region] = ks
 		return nil, nil // inline set-up, then DYNSTITCH (generic tier)
@@ -163,10 +157,9 @@ func (rt *Runtime) autoEnter(m *vm.Machine, ms *machineState, region int,
 	}
 	key := appendKey(ms.keyBuf[:0], m, r)
 	ms.keyBuf = key
-	if slot, ok := ms.cache[region][string(key)]; ok {
-		slot.ref = true
-		ms.mono[region] = slot.seg
-		return slot.seg, nil
+	if seg, ok := ms.l2.get(cacheKey{region, string(key)}); ok {
+		ms.mono[region] = seg
+		return seg, nil
 	}
 	seg, err := rt.enterCold(m, ms, region, key)
 	if seg != nil && err == nil && seg.Stitched && len(seg.Code) > 0 &&

@@ -8,25 +8,23 @@
 // A Runtime may be attached to any number of machines, each driven by its
 // own goroutine. The code cache has two levels:
 //
-//   - Level 2, per machine: a plain map per region from encoded key bytes
-//     to stitched segment. A machine is single-goroutine by the VM's
-//     contract, so this level takes no locks and — because keys are
-//     varint-encoded into a reusable scratch buffer — the steady-state
-//     DYNENTER lookup performs zero allocations. (A plain goroutine-
-//     confined map beats both sync.Map and an atomically swapped snapshot
-//     here: there is no cross-goroutine access to synchronize at all; see
-//     BenchmarkL2MapStrategies.) Bounded by CacheOptions.MachineMaxEntries
-//     with second-chance FIFO eviction.
+//   - Level 2, per machine: a clock table (clock.go) from (region, encoded
+//     key bytes) to stitched segment, bounded by
+//     CacheOptions.MachineMaxEntries. A machine is single-goroutine by the
+//     VM's contract, so this level takes no locks (see
+//     BenchmarkL2MapStrategies) and — because keys are varint-encoded into
+//     a reusable scratch buffer — the steady-state DYNENTER lookup performs
+//     zero allocations.
 //
-//   - Level 1, per runtime: a sharded map shared by all attached machines,
-//     holding segments for regions the static compiler proved Shareable
-//     (the stitched output is a pure function of the key bytes — see
-//     tmpl.Region.Shareable for the aliasing rule). Each shard guards its
-//     entries and its slice of stitcher statistics with its own mutex; a
-//     singleflight latch per entry ensures K goroutines hitting a cold
-//     (region, key) pay for exactly one stitch and K−1 channel waits.
-//     Bounded by CacheOptions.MaxEntries/MaxCodeBytes with a per-shard
-//     CLOCK policy (see evict.go).
+//   - Level 1, per runtime: a sharded cache shared by all attached
+//     machines, holding segments for regions the static compiler proved
+//     Shareable (the stitched output is a pure function of the key bytes —
+//     see tmpl.Region.Shareable for the aliasing rule). Each shard guards
+//     its clock table of resident entries, its in-flight entries and its
+//     slice of stitcher statistics with its own mutex; a singleflight latch
+//     per entry ensures K goroutines hitting a cold (region, key) pay for
+//     exactly one stitch and K−1 channel waits. Bounded by
+//     CacheOptions.MaxEntries/MaxCodeBytes (see evict.go).
 //
 // Non-shareable regions (set-up reads machine memory) bypass level 1
 // entirely and behave exactly as in the single-machine system: each
@@ -134,10 +132,9 @@ type Runtime struct {
 	// write side while closing quit. Without it a send could land after
 	// Close drained the queue, leaking the claim and the inflight count
 	// (WaitIdle would spin forever).
-	closeMu   sync.RWMutex
-	inflight  atomic.Int64 // queued + running background stitches
-	genericMu sync.Mutex
-	generics  []genericSlot
+	closeMu  sync.RWMutex
+	inflight atomic.Int64 // queued + running background stitches
+	generics []genericSlot
 
 	asyncStitches atomic.Uint64
 	fallbackRuns  atomic.Uint64
@@ -186,9 +183,10 @@ func New(prog *vm.Program, regions []*tmpl.Region, opts Options) *Runtime {
 		gens:           make([]atomic.Uint64, len(regions)),
 		regionResident: make([]atomic.Int64, len(regions)),
 		regionBytes:    make([]atomic.Int64, len(regions)),
+		generics:       make([]genericSlot, len(regions)),
 	}
 	for i := range rt.shards {
-		rt.shards[i].entries = map[cacheKey]*entry{}
+		rt.shards[i].inflight = map[cacheKey]*entry{}
 	}
 	if opts.Cache.AsyncStitch {
 		q := opts.Cache.StitchQueue
@@ -197,7 +195,6 @@ func New(prog *vm.Program, regions []*tmpl.Region, opts Options) *Runtime {
 		}
 		rt.jobs = make(chan stitchJob, q)
 		rt.quit = make(chan struct{})
-		rt.generics = make([]genericSlot, len(regions))
 	}
 	if opts.Cache.Store != nil {
 		q := opts.Cache.StoreQueue
@@ -227,24 +224,24 @@ func (rt *Runtime) Invalidate(region int) {
 	}
 	rt.gens[region].Add(1)
 	rt.invalidations.Add(1)
-	// Persisted digests of the old generation become unreachable (the
-	// generation participates in the digest), but generation counters are
-	// process-local: delete the digest each resident entry was persisted or
-	// loaded under, so a future process restarting at that generation
-	// cannot resurrect it (best-effort; see store.go). In-flight entries
-	// are just unmapped: publish sees the flush and declines to retain.
+	// Delete the digest each resident entry was persisted or loaded under,
+	// so a restarted process cannot resurrect it (best-effort; see store.go
+	// "Generations"). In-flight entries are just unmapped: publish sees the
+	// flush and declines to retain.
 	var stale []storeOp
 	for i := range rt.shards {
 		sh := &rt.shards[i]
 		sh.mu.Lock()
-		for ck, e := range sh.entries {
-			if ck.region != region {
-				continue
+		sh.resident.removeRegion(region, func(e *entry) {
+			if rt.storeEnabled() {
+				stale = append(stale, storeOp{region: region, gen: e.storeGen, key: e.key.key})
 			}
-			if e.slot >= 0 && rt.storeEnabled() {
-				stale = append(stale, storeOp{region: region, gen: e.storeGen, key: ck.key})
+			rt.release(e)
+		})
+		for ck := range sh.inflight {
+			if ck.region == region {
+				delete(sh.inflight, ck)
 			}
-			sh.dropLocked(rt, e)
 		}
 		sh.mu.Unlock()
 	}
@@ -268,32 +265,31 @@ func (rt *Runtime) InvalidateKey(region int, keyVals ...int64) {
 	// generation and declines to retain.
 	gen := rt.gens[region].Add(1)
 	rt.invalidations.Add(1)
-	// Orphaning by generation only protects this process; the persisted
-	// blob must go too, or a restarted process (generation counter back at
-	// an old value) could serve the invalidated specialization. A resident
-	// key's blob is named by the generation it was persisted or loaded
-	// under; any other key's, by the previous generation.
+	// The persisted blob must go too (see store.go "Generations"). A
+	// resident key's blob is named by the generation it was persisted or
+	// loaded under; any other key's, by the previous generation.
 	del := gen - 1
+	// Sibling keys were not invalidated: refresh their generation snapshot
+	// so lookups keep serving them and an in-flight stitch still publishes.
+	// (A lookup racing ahead of this sweep may drop one as stale; that only
+	// costs a re-stitch, never a wrong result.)
 	for i := range rt.shards {
 		sh := &rt.shards[i]
 		sh.mu.Lock()
-		for k, e := range sh.entries {
-			if k.region != region {
-				continue
+		if e, ok := sh.resident.remove(ck); ok {
+			del = e.storeGen
+			rt.release(e)
+		}
+		delete(sh.inflight, ck)
+		for _, s := range sh.resident.slots {
+			if s.key.region == region {
+				s.val.gen = gen
 			}
-			if k == ck {
-				if e.slot >= 0 {
-					del = e.storeGen
-				}
-				sh.dropLocked(rt, e)
-				continue
+		}
+		for k, e := range sh.inflight {
+			if k.region == region {
+				e.gen = gen
 			}
-			// Sibling keys were not invalidated: refresh their
-			// generation snapshot so lookups keep serving them and an
-			// in-flight stitch still publishes. (A lookup racing ahead
-			// of this sweep may drop one as stale; that only costs a
-			// re-stitch, never a wrong result.)
-			e.gen = gen
 		}
 		sh.mu.Unlock()
 	}
@@ -308,37 +304,21 @@ func (rt *Runtime) Generation(region int) uint64 {
 	return rt.gens[region].Load()
 }
 
-// l2slot is one level-2 cache slot; ref is the second-chance bit, set on
-// every warm hit and consumed by the eviction scan.
-type l2slot struct {
-	seg *vm.Segment
-	ref bool
-}
-
-// l2ref names a level-2 slot in the machine's FIFO eviction queue.
-type l2ref struct {
-	region int
-	key    string
-}
-
 // machineState is the level-2 cache plus scratch state of one attached
 // machine. It is touched only by the machine's own goroutine.
 type machineState struct {
-	cache    []map[string]*l2slot // region -> key bytes -> slot
-	pending  []string             // region -> key awaiting DYNSTITCH
-	fallback []bool               // region -> DYNSTITCH takes the generic tier
-	mono     []*vm.Segment        // region -> monomorphic segment (promoted Auto regions)
-	keyBuf   []byte               // reusable key-encoding buffer
-	gen      []uint64             // per-region generation snapshot
-	fifo     []l2ref              // insertion order for second-chance eviction
-	count    int                  // live slots across regions
-	max      int                  // CacheOptions.MachineMaxEntries (0 = unbounded)
+	l2       clock[*vm.Segment] // (region, key bytes) -> segment
+	pending  []string           // region -> key awaiting DYNSTITCH
+	fallback []bool             // region -> DYNSTITCH takes the generic tier
+	mono     []*vm.Segment      // region -> monomorphic segment (promoted Auto regions)
+	keyBuf   []byte             // reusable key-encoding buffer
+	gen      []uint64           // per-region generation snapshot
+	max      int                // CacheOptions.MachineMaxEntries (0 = unbounded)
 }
 
 func newMachineState(rt *Runtime) *machineState {
 	n := len(rt.Regions)
 	ms := &machineState{
-		cache:    make([]map[string]*l2slot, n),
 		pending:  make([]string, n),
 		fallback: make([]bool, n),
 		mono:     make([]*vm.Segment, n),
@@ -352,74 +332,27 @@ func newMachineState(rt *Runtime) *machineState {
 	return ms
 }
 
+// put caches seg for (region, key), first evicting until a new key fits
+// under the cap.
 func (ms *machineState) put(rt *Runtime, region int, key string, seg *vm.Segment) {
-	if ms.cache[region] == nil {
-		ms.cache[region] = map[string]*l2slot{}
-	}
-	if _, ok := ms.cache[region][key]; !ok {
-		if ms.max > 0 {
-			for ms.count >= ms.max && ms.evictOne(rt) {
-			}
+	k := cacheKey{region: region, key: key}
+	if _, ok := ms.l2.peek(k); !ok && ms.max > 0 {
+		for ms.l2.len() >= ms.max {
+			ms.l2.evict(-1) // cannot fail: the table is not empty
+			rt.l2Evictions.Add(1)
 		}
-		ms.count++
-		ms.fifo = append(ms.fifo, l2ref{region: region, key: key})
 	}
-	ms.cache[region][key] = &l2slot{seg: seg}
-}
-
-// evictOne drops one level-2 slot with second-chance FIFO: the oldest slot
-// is evicted unless it has been referenced since it was queued, in which
-// case its bit is cleared and it goes to the back. Queue entries whose
-// slot is gone (region flush, Reset) are skipped and discarded.
-func (ms *machineState) evictOne(rt *Runtime) bool {
-	limit := 2*len(ms.fifo) + 1
-	for scanned := 0; scanned < limit && len(ms.fifo) > 0; scanned++ {
-		ref := ms.fifo[0]
-		ms.fifo = ms.fifo[1:]
-		slot, ok := ms.cache[ref.region][ref.key]
-		if !ok {
-			continue // stale: flushed or already evicted
-		}
-		if slot.ref {
-			slot.ref = false
-			ms.fifo = append(ms.fifo, ref)
-			continue
-		}
-		delete(ms.cache[ref.region], ref.key)
-		ms.count--
-		rt.l2Evictions.Add(1)
-		return true
-	}
-	return false
+	ms.l2.put(k, seg)
 }
 
 // flushRegion drops the machine's cached specializations of one region
-// (generation mismatch). Queue entries go stale and are skipped by
-// evictOne; compact() bounds their accumulation.
+// (generation mismatch).
 func (ms *machineState) flushRegion(region int, gen uint64) {
-	ms.count -= len(ms.cache[region])
-	ms.cache[region] = nil
+	ms.l2.removeRegion(region, nil)
 	ms.pending[region] = ""
 	ms.fallback[region] = false
 	ms.mono[region] = nil
 	ms.gen[region] = gen
-	ms.compact()
-}
-
-// compact rebuilds the FIFO without stale references once they could
-// outnumber live slots; without it, repeated invalidation cycles would
-// grow the queue unboundedly even though the cache itself is bounded.
-func (ms *machineState) compact() {
-	if len(ms.fifo) <= 2*ms.count+64 {
-		return
-	}
-	live := ms.fifo[:0]
-	for _, ref := range ms.fifo {
-		if _, ok := ms.cache[ref.region][ref.key]; ok {
-			live = append(live, ref)
-		}
-	}
-	ms.fifo = live
 }
 
 // Attach wires the runtime into machine m. Each attached machine may be
@@ -440,9 +373,8 @@ func (rt *Runtime) Attach(m *vm.Machine) {
 		}
 		key := appendKey(ms.keyBuf[:0], m, r)
 		ms.keyBuf = key
-		if slot, ok := ms.cache[region][string(key)]; ok {
-			slot.ref = true
-			return slot.seg, nil
+		if seg, ok := ms.l2.get(cacheKey{region, string(key)}); ok {
+			return seg, nil
 		}
 		return rt.enterCold(m, ms, region, key)
 	}
@@ -475,15 +407,10 @@ func (rt *Runtime) Attach(m *vm.Machine) {
 		// are stale. Shared (level-1) segments survive — a Shareable
 		// region's stitched code depends only on its key bytes, never on
 		// the memory being wiped.
-		for i := range ms.cache {
-			ms.cache[i] = nil
-			ms.pending[i] = ""
-			ms.fallback[i] = false
-			ms.mono[i] = nil
-			ms.gen[i] = rt.gens[i].Load()
+		ms.l2.removeRegion(-1, nil) // one pass, so each flush below finds nothing
+		for i := range ms.gen {
+			ms.flushRegion(i, rt.gens[i].Load())
 		}
-		ms.fifo = nil
-		ms.count = 0
 	}
 	if rt.auto != nil {
 		m.OnDeopt = func(m *vm.Machine, region int) {
@@ -602,10 +529,9 @@ func (rt *Runtime) stitchNow(m *vm.Machine, ms *machineState, region int,
 	return seg, nil
 }
 
-// keepStitched retains seg for diagnostics. Dedup is a set membership test
-// (the seed scanned the region's whole slice per stitch — O(n) and
-// unbounded), and total retention is capped at KeepStitchedCap: once full,
-// later segments are not retained.
+// keepStitched retains seg for diagnostics, once per segment, up to
+// KeepStitchedCap segments in total: once full, later segments are not
+// retained.
 func (rt *Runtime) keepStitched(region int, seg *vm.Segment) {
 	if !rt.Opts.Cache.KeepStitched {
 		return

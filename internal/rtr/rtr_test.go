@@ -2,6 +2,7 @@ package rtr_test
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -360,6 +361,42 @@ func TestDynEnterZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("warm DYNENTER dispatch allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestDynEnterZeroAllocLongKey: the longest key a region can have (three
+// key variables, each a ten-byte varint) must hit without allocating too.
+// The level-2 lookup converts the key bytes to a string, which stays on
+// the stack only up to 32 bytes.
+func TestDynEnterZeroAllocLongKey(t *testing.T) {
+	const src = `
+int mix(int a, int b, int c, int x) {
+    int r;
+    dynamicRegion key(a, b, c) () {
+        r = x * a + b + c;
+    }
+    return r;
+}`
+	c, err := core.Compile(src, core.Config{Dynamic: true, Optimize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := c.NewMachine(0)
+	const min = math.MinInt64
+	if _, err := m.Call("mix", min, min+1, min+2, 1); err != nil {
+		t.Fatal(err)
+	}
+	for i, reg := range c.Output.Regions[0].KeyRegs {
+		m.Regs[reg] = min + int64(i)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		seg, err := m.OnDynEnter(m, 0)
+		if err != nil || seg == nil {
+			t.Fatalf("warm dispatch missed: seg=%v err=%v", seg, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm DYNENTER dispatch with a long key allocates %.1f/op, want 0", allocs)
 	}
 }
 

@@ -422,7 +422,7 @@ func TestNegativeRegionAccounting(t *testing.T) {
 	for _, key := range []string{"x", "y"} {
 		ck := cacheKey{region: -1, key: key}
 		e := &entry{key: ck, done: make(chan struct{}), seg: &vm.Segment{},
-			bytes: 64, slot: -1}
+			bytes: 64}
 		close(e.done)
 		es = append(es, e)
 	}
@@ -431,7 +431,6 @@ func TestNegativeRegionAccounting(t *testing.T) {
 	// checks with sh held; an untracked region has no cap to hit.
 	sh.mu.Lock()
 	for _, e := range es {
-		sh.entries[e.key] = e
 		if !rt.admitLocked(sh, e) {
 			t.Fatalf("entry %v not admitted", e.key)
 		}

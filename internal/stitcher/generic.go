@@ -28,7 +28,6 @@ package stitcher
 
 import (
 	"fmt"
-	"slices"
 
 	"dyncc/internal/tmpl"
 	"dyncc/internal/vm"
@@ -38,34 +37,38 @@ import (
 // reserved register range.
 const maxGenericLoops = int(vm.RPromoLast-vm.RPromo0) + 1
 
-// Generic renders region's templates as a single unspecialized segment
-// whose exits XFER back into parent. It is pure (no machine memory is
-// read) and safe to call concurrently.
+// Generic renders region's stencil as a single unspecialized segment whose
+// exits XFER back into parent. It is pure (no machine memory is read) and
+// safe to call concurrently. The stencil already carries everything the
+// rendering needs: per-block patch tables, each block's loop chain, and
+// each edge's loop-record transitions.
 func Generic(region *tmpl.Region, parent *vm.Segment, opts Options) (*vm.Segment, error) {
+	s := region.Stencil
+	if s == nil {
+		return nil, fmt.Errorf("generic: region %s has no stencil", region.Name)
+	}
 	if len(region.Loops) > maxGenericLoops {
 		return nil, fmt.Errorf("generic: region %s has %d unrolled loops (max %d)",
 			region.Name, len(region.Loops), maxGenericLoops)
 	}
+	if len(s.Blocks[s.Entry].Chain) != 0 {
+		return nil, fmt.Errorf("generic: region %s entry inside a loop", region.Name)
+	}
 	g := &generic{
-		r:       region,
-		blockPC: make(map[int]int, len(region.Blocks)),
-		loops:   make(map[int]*tmpl.Loop, len(region.Loops)),
-		recReg:  make(map[int]vm.Reg, len(region.Loops)),
+		s:       s,
+		blockPC: make(map[int32]int, len(s.Blocks)),
+		recReg:  make(map[int32]vm.Reg, len(region.Loops)),
 		cindex:  map[int64]int{},
 	}
 	for i, l := range region.Loops {
-		g.loops[l.ID] = l
-		g.recReg[l.ID] = vm.RPromo0 + vm.Reg(i)
-	}
-	if len(g.chain(region.Entry)) != 0 {
-		return nil, fmt.Errorf("generic: region %s entry inside a loop", region.Name)
+		g.recReg[int32(l.ID)] = vm.RPromo0 + vm.Reg(i)
 	}
 
 	// Entry preamble: park the table base before anything can clobber
 	// RScratch, then walk the block graph.
 	g.add(vm.Inst{Op: vm.MOV, Rd: vm.RTblBase, Rs: vm.RScratch})
-	g.queue = append(g.queue, region.Entry)
-	g.blockPC[region.Entry] = -1 // mark queued
+	g.queue = append(g.queue, s.Entry)
+	g.blockPC[s.Entry] = -1 // mark queued
 	for len(g.queue) > 0 {
 		bi := g.queue[0]
 		g.queue = g.queue[1:]
@@ -106,36 +109,24 @@ func Generic(region *tmpl.Region, parent *vm.Segment, opts Options) (*vm.Segment
 }
 
 type generic struct {
-	r       *tmpl.Region
+	s       *tmpl.Stencil
 	out     []vm.Inst
 	consts  []int64
 	cindex  map[int64]int
-	blockPC map[int]int // block -> pc (-1 while queued, unemitted)
-	queue   []int
+	blockPC map[int32]int // block -> pc (-1 while queued, unemitted)
+	queue   []int32
 	fix     []genFixup
-	loops   map[int]*tmpl.Loop
-	recReg  map[int]vm.Reg
+	recReg  map[int32]vm.Reg // loop id -> its record register
 }
 
 type genFixup struct {
 	pc    int // instruction whose Target needs the block's pc
-	block int
+	block int32
 }
 
 func (g *generic) add(in vm.Inst) int {
 	g.out = append(g.out, in)
 	return len(g.out) - 1
-}
-
-// chain returns the enclosing-loop ids of block bi, innermost first.
-func (g *generic) chain(bi int) []int {
-	var ids []int
-	id := g.r.Blocks[bi].LoopID
-	for id >= 0 {
-		ids = append(ids, id)
-		id = g.loops[id].ParentID
-	}
-	return ids
 }
 
 // largeConst interns v in the segment's constant table (switch cases that
@@ -150,91 +141,65 @@ func (g *generic) largeConst(v int64) int64 {
 	return int64(i)
 }
 
-// slotOperand resolves a table slot reference to (base register, offset):
-// the region table lives at RTblBase, loop records in their reserved
+// loadSlot emits a load of table slot (loop, slot) into rd: the region
+// table lives at RTblBase (loop -1), loop records in their reserved
 // registers.
-func (g *generic) slotOperand(ref tmpl.SlotRef) (vm.Reg, int64, error) {
-	if !vm.FitsImm(int64(ref.Slot)) {
-		return 0, 0, fmt.Errorf("generic: slot offset %d exceeds the immediate field", ref.Slot)
+func (g *generic) loadSlot(rd vm.Reg, loop, slot int32) error {
+	if !vm.FitsImm(int64(slot)) {
+		return fmt.Errorf("generic: slot offset %d exceeds the immediate field", slot)
 	}
-	if ref.LoopID < 0 {
-		return vm.RTblBase, int64(ref.Slot), nil
+	base := vm.RTblBase
+	if loop >= 0 {
+		reg, ok := g.recReg[loop]
+		if !ok {
+			return fmt.Errorf("generic: no record register for loop %d", loop)
+		}
+		base = reg
 	}
-	reg, ok := g.recReg[ref.LoopID]
-	if !ok {
-		return 0, 0, fmt.Errorf("generic: no record register for loop %d", ref.LoopID)
-	}
-	return reg, int64(ref.Slot), nil
-}
-
-// loadSlot emits a load of the slot's current value into rd.
-func (g *generic) loadSlot(rd vm.Reg, ref tmpl.SlotRef) error {
-	base, off, err := g.slotOperand(ref)
-	if err != nil {
-		return err
-	}
-	g.add(vm.Inst{Op: vm.LD, Rd: rd, Rs: base, Imm: off})
+	g.add(vm.Inst{Op: vm.LD, Rd: rd, Rs: base, Imm: int64(slot)})
 	return nil
 }
 
-// emitHole lowers one hole-carrying instruction: where the stitcher patches
-// the constant in, the generic tier loads it at run time.
-func (g *generic) emitHole(in vm.Inst, h tmpl.Hole) error {
-	switch in.Op {
-	case vm.LDC, vm.LI:
-		// A constant materialization: load it straight from the table.
-		return g.loadSlot(in.Rd, h.Slot)
-	default:
-		reg := vm.ImmToRegForm(in.Op)
-		if reg == vm.NOP || !in.Op.HasImmOperand() {
-			return fmt.Errorf("generic: unsupported hole op %s", in.Op)
-		}
-		if err := g.loadSlot(vm.RScratch2, h.Slot); err != nil {
-			return err
-		}
-		g.add(vm.Inst{Op: reg, Rd: in.Rd, Rs: in.Rs, Rt: vm.RScratch2})
-		return nil
+// emitHole lowers one patch: where the stitcher patches the constant in,
+// the generic tier loads it at run time.
+func (g *generic) emitHole(p *tmpl.Patch) error {
+	in := p.Inst
+	if p.Kind != tmpl.PatchALU {
+		// A constant materialization (LDC or LI): load it straight from the
+		// table.
+		return g.loadSlot(in.Rd, p.Loop, p.Slot)
 	}
+	if p.RegOp == vm.NOP || !in.Op.HasImmOperand() {
+		return fmt.Errorf("generic: unsupported hole op %s", in.Op)
+	}
+	if err := g.loadSlot(vm.RScratch2, p.Loop, p.Slot); err != nil {
+		return err
+	}
+	g.add(vm.Inst{Op: p.RegOp, Rd: in.Rd, Rs: in.Rs, Rt: vm.RScratch2})
+	return nil
 }
 
-// emitEdge emits the code that follows edge e out of block `from`: region
-// exits become XFER stubs; block edges load loop-header records when
-// entering unrolled loops and advance the record register on back edges
-// (the run-time equivalents of the stitcher's ENTER_LOOP / RESTART_LOOP
-// directives), then branch to the target block.
-func (g *generic) emitEdge(from int, e tmpl.Edge) error {
+// emitEdge emits the code that follows edge plan e: a region exit becomes
+// an XFER stub; a block edge loads the loop-header records of the loops it
+// enters and advances the record registers of its back edges (the run-time
+// equivalents of the stitcher's ENTER_LOOP / RESTART_LOOP directives),
+// then branches to the target block.
+func (g *generic) emitEdge(e *tmpl.EdgePlan) error {
 	if e.Block < 0 {
-		g.add(vm.Inst{Op: vm.XFER, Target: e.ExitPC})
+		g.add(vm.Inst{Op: vm.XFER, Target: int(e.ExitPC)})
 		return nil
 	}
-	fromChain := g.chain(from)
-	toChain := g.chain(e.Block)
-	// Entering loops: outermost-first so parent records resolve first.
-	var entering []int
-	for _, id := range toChain {
-		if !slices.Contains(fromChain, id) {
-			entering = append(entering, id)
-		}
-	}
-	for i := len(entering) - 1; i >= 0; i-- {
-		l := g.loops[entering[i]]
-		if l.HeadBlock != e.Block {
-			return fmt.Errorf("generic: loop %d entered at non-head block %d", l.ID, e.Block)
-		}
-		if err := g.loadSlot(g.recReg[l.ID], l.HeaderSlot); err != nil {
+	for _, st := range e.Enter {
+		if err := g.loadSlot(g.recReg[st.Loop], st.HdrLoop, st.HdrSlot); err != nil {
 			return err
 		}
 	}
-	// Back edge: advance along the record chain.
-	for _, id := range toChain {
-		l := g.loops[id]
-		if l.HeadBlock == e.Block && slices.Contains(fromChain, id) {
-			if !vm.FitsImm(int64(l.NextSlot)) {
-				return fmt.Errorf("generic: record link offset %d exceeds the immediate field", l.NextSlot)
-			}
-			rec := g.recReg[id]
-			g.add(vm.Inst{Op: vm.LD, Rd: rec, Rs: rec, Imm: int64(l.NextSlot)})
+	for _, st := range e.Advance {
+		if !vm.FitsImm(int64(st.NextSlot)) {
+			return fmt.Errorf("generic: record link offset %d exceeds the immediate field", st.NextSlot)
 		}
+		rec := g.recReg[st.Loop]
+		g.add(vm.Inst{Op: vm.LD, Rd: rec, Rs: rec, Imm: int64(st.NextSlot)})
 	}
 	pc := g.add(vm.Inst{Op: vm.BR})
 	g.fix = append(g.fix, genFixup{pc: pc, block: e.Block})
@@ -247,50 +212,48 @@ func (g *generic) emitEdge(from int, e tmpl.Edge) error {
 
 // emitBlock renders block bi exactly once (the generic tier never
 // duplicates blocks — unrolled loops stay rolled).
-func (g *generic) emitBlock(bi int) error {
+func (g *generic) emitBlock(bi int32) error {
 	g.blockPC[bi] = len(g.out)
-	b := g.r.Blocks[bi]
-	holeAt := map[int]tmpl.Hole{}
-	for _, h := range b.Holes {
-		holeAt[h.Pc] = h
-	}
-	for pc, in := range b.Code {
-		if h, ok := holeAt[pc]; ok {
-			if err := g.emitHole(in, h); err != nil {
+	b := &g.s.Blocks[bi]
+	ps := b.Patches
+	for pc, in := range b.Body {
+		if len(ps) > 0 && int(ps[0].Pc) == pc {
+			if err := g.emitHole(&ps[0]); err != nil {
 				return err
 			}
+			ps = ps[1:]
 		} else {
 			g.add(in)
 		}
 	}
 
-	t := b.Term
+	t := &b.Term
 	switch t.Kind {
 	case tmpl.TermRet:
 		g.add(vm.Inst{Op: vm.RET})
 
 	case tmpl.TermJump:
-		return g.emitEdge(bi, t.Succs[0])
+		return g.emitEdge(&t.Edges[0])
 
 	case tmpl.TermBr:
 		cond := t.CondReg
-		if t.ConstSlot != nil {
+		if t.HasConst {
 			// CONST_BRANCH: the stitcher resolves this at stitch time; the
 			// generic tier tests the live table value.
-			if err := g.loadSlot(vm.RScratch2, *t.ConstSlot); err != nil {
+			if err := g.loadSlot(vm.RScratch2, t.ConstLoop, t.ConstSlot); err != nil {
 				return err
 			}
 			cond = vm.RScratch2
 		}
 		bnezPC := g.add(vm.Inst{Op: vm.BNEZ, Rs: cond})
-		if err := g.emitEdge(bi, t.Succs[1]); err != nil {
+		if err := g.emitEdge(&t.Edges[1]); err != nil {
 			return err
 		}
 		g.out[bnezPC].Target = len(g.out)
-		return g.emitEdge(bi, t.Succs[0])
+		return g.emitEdge(&t.Edges[0])
 
 	case tmpl.TermSwitch:
-		if err := g.loadSlot(vm.RScratch2, *t.ConstSlot); err != nil {
+		if err := g.loadSlot(vm.RScratch2, t.ConstLoop, t.ConstSlot); err != nil {
 			return err
 		}
 		// Compare chain falling through to the default edge; case stubs
@@ -305,12 +268,12 @@ func (g *generic) emitBlock(bi int) error {
 			g.add(vm.Inst{Op: vm.SEQ, Rd: vm.RScratch, Rs: vm.RScratch2, Rt: vm.RScratch})
 			cmpPC[i] = g.add(vm.Inst{Op: vm.BNEZ, Rs: vm.RScratch})
 		}
-		if err := g.emitEdge(bi, t.Succs[len(t.Cases)]); err != nil {
+		if err := g.emitEdge(&t.Edges[len(t.Cases)]); err != nil {
 			return err
 		}
 		for i := range t.Cases {
 			g.out[cmpPC[i]].Target = len(g.out)
-			if err := g.emitEdge(bi, t.Succs[i]); err != nil {
+			if err := g.emitEdge(&t.Edges[i]); err != nil {
 				return err
 			}
 		}
