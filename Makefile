@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check check-passes race fuzz bench-host table2
+.PHONY: all check check-passes race fuzz bench-host bench-stitch table2
 
 all: check
 
@@ -14,7 +14,12 @@ all: check
 #   stitcher packages run whole under the race detector: their pooled
 #   scratch (fusion's and the stitcher's) is shared by concurrent stitch
 #   workers and CompileBatch, and TestFuseConcurrent fuses from 8
-#   goroutines against the reference pipeline;
+#   goroutines, through both entry points, against the reference
+#   pipeline; these runs also pin the replaced code's references: the
+#   dead-write sweep against the round loop
+#   (TestDeadWriteSweepMatchesReference), stitched fusion and its plan
+#   (TestFuseStitchedMatchesReference) and the evict log against its
+#   map-indexed form (TestEvictLogMatchesMap);
 # - the persistent-store round trip (compile -> persist -> a fresh
 #   runtime serves byte-identical code from the store) and a short store
 #   differential sweep, raced;
@@ -78,6 +83,14 @@ race:
 # the fusion ablation.
 bench-host:
 	$(GO) test -run '^$$' -bench HostPerf -count=5 .
+
+# Miss-path benchmarks, 5 samples each: a warm stitch of serving's median
+# region shape (BenchmarkStitchServeShape), stitched and static fusion
+# (BenchmarkFuse; the stitched case includes its exec plan) and exec-plan
+# derivation (BenchmarkBuildPlan).
+bench-stitch:
+	$(GO) test -run '^$$' -bench 'StitchServeShape' -benchmem -count=5 ./internal/stitcher
+	$(GO) test -run '^$$' -bench 'Fuse|BuildPlan' -benchmem -count=5 ./internal/vm
 
 # Longer differential-fuzz session against the unoptimized-IR reference
 # interpreter (check already runs a 10s smoke).

@@ -154,11 +154,7 @@ func (fg *funcGen) peephole() {
 		}
 	}
 	// Pass 2: drop dead constant/copy materializations.
-	for i := 0; i < 4; i++ {
-		if vm.DeadWriteNops(fg.code) == 0 {
-			break
-		}
-	}
+	vm.DeadWriteNops(fg.code)
 	// Pass 3: delete NOPs and branches to next pc.
 	keep := make([]bool, len(fg.code))
 	for i, in := range fg.code {

@@ -138,12 +138,11 @@ func (rt *Runtime) schedule(region int, ks string) {
 // withdraw fails a claimed entry that will never be produced (queue full,
 // runtime closed) and unmaps it, so a later miss can claim the key again.
 func (rt *Runtime) withdraw(e *entry, reason error) {
-	e.err = reason
 	sh := rt.shardFor(e.key.region, e.key.key)
 	sh.mu.Lock()
+	e.finishLocked(nil, reason)
 	sh.dropLocked(rt, e)
 	sh.mu.Unlock()
-	close(e.done)
 }
 
 // startWorkers spawns the worker pool on first use (so a runtime that

@@ -142,3 +142,38 @@ func BenchmarkL2MapStrategies(b *testing.B) {
 		}
 	})
 }
+
+// TestClaimWaitChannelOnDemand: a claim nobody else wants makes no wait
+// channel; the first loser that finds the entry in flight makes one, and
+// publish releases it with the winner's segment. A loser that arrives
+// after publish finds the resident entry done and does not block.
+func TestClaimWaitChannelOnDemand(t *testing.T) {
+	rt := testRuntime(CacheOptions{Shards: 1}, 1)
+	e, gen, won := rt.claim(0, "k")
+	if !won || e.wait != nil {
+		t.Fatalf("winning claim: won %v, wait channel %v", won, e.wait)
+	}
+	e2, _, won2 := rt.claim(0, "k")
+	if won2 || e2 != e || e.wait == nil {
+		t.Fatalf("losing claim: won %v, same entry %v, wait channel %v", won2, e2 == e, e.wait)
+	}
+	seg := &vm.Segment{Name: "s"}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	var got *vm.Segment
+	go func() {
+		defer wg.Done()
+		e2.await()
+		got = e2.seg
+	}()
+	rt.publish(e, gen, seg, nil, nil)
+	wg.Wait()
+	if got != seg {
+		t.Fatal("waiter did not receive the winner's segment")
+	}
+	e3, _, won3 := rt.claim(0, "k")
+	if won3 || e3 != e {
+		t.Fatal("claim after publish did not find the resident entry")
+	}
+	e3.await() // done: must not block
+}

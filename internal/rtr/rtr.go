@@ -506,7 +506,7 @@ func (rt *Runtime) stitchNow(m *vm.Machine, ms *machineState, region int,
 		seg, stats, err = rt.produce(region, key, gen, src)
 		rt.publish(e, gen, seg, stats, err)
 	} else {
-		<-e.done
+		e.await()
 		// A failed stitch is deterministic for a shareable region (the
 		// output depends only on the key), so propagate the winner's error
 		// rather than re-running a stitch that would fail identically.

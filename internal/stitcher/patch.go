@@ -178,11 +178,15 @@ func (st *stitch) strengthReduce(in vm.Inst, v int64) bool {
 	return false
 }
 
-// peephole removes branches to the next instruction and folds conditional
-// jumps over unconditional branches, remapping all intra-segment targets.
-// XFER targets point into the parent segment and are left alone. The
-// compaction runs in place over pooled scratch — no allocation on warm
-// buffers.
+// peephole is the cleanup after emission: it folds conditional jumps over
+// unconditional branches, removes branches to the next instruction and
+// dead register writes (vm.DeadWriteNopsBuf), and compacts the emission
+// once, remapping all intra-segment targets. XFER targets point into the
+// parent segment and are left alone. A removed branch becomes a NOP before
+// the dead-write sweep, which reads NOPs as absent and a target on one as
+// a target on the next kept instruction, so the sweep sees what it would
+// on compacted code. The compaction runs in place over pooled scratch:
+// no allocation on warm buffers.
 func (st *stitch) peephole() {
 	code := st.out
 	for i := 0; i+1 < len(code); i++ {
@@ -197,34 +201,12 @@ func (st *stitch) peephole() {
 			code[i+1] = vm.Inst{Op: vm.NOP}
 		}
 	}
-	keep := growBools(st.keepBuf, len(code))
-	st.keepBuf = keep
-	for i, in := range code {
-		keep[i] = in.Op != vm.NOP && !(in.Op == vm.BR && in.Target == i+1)
-	}
-	// Keep deleting newly-trivial branches until stable (a BR chain can
-	// collapse in multiple steps). Conservative single extra pass.
-	newpc := growInts(st.pcBuf, len(code)+1)
-	st.pcBuf = newpc
-	n := 0
 	for i := range code {
-		newpc[i] = n
-		if keep[i] {
-			n++
+		if code[i].Op == vm.BR && code[i].Target == i+1 {
+			code[i] = vm.Inst{Op: vm.NOP}
 		}
 	}
-	newpc[len(code)] = n
-	w := 0
-	for i, in := range code {
-		if !keep[i] {
-			continue
-		}
-		switch in.Op {
-		case vm.BEQZ, vm.BNEZ, vm.BEQI, vm.BR:
-			in.Target = newpc[in.Target]
-		}
-		code[w] = in
-		w++
-	}
-	st.out = code[:w]
+	st.keepBuf = growBools(st.keepBuf, len(code)+1)
+	vm.DeadWriteNopsBuf(code, st.keepBuf)
+	st.stripNops()
 }

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"io"
 	"math"
 	"testing"
 	"testing/quick"
@@ -316,5 +317,45 @@ func TestBuiltins(t *testing.T) {
 	}
 	if got := call("max", 3, 9); got != 9 {
 		t.Errorf("max = %d", got)
+	}
+}
+
+// TestTrapUnwindMatchesExact: a trap in the middle of a block pre-charged
+// whole must leave the counters the exact per-instruction accounting
+// (trace mode) leaves, wide-constant penalties and region attribution
+// included: the unwind takes back exactly the unexecuted tail.
+func TestTrapUnwindMatchesExact(t *testing.T) {
+	for trapAt := 0; trapAt < 6; trapAt++ {
+		code := []Inst{
+			{Op: LI, Rd: 12, Imm: 1 << 40}, // wide: one machine-only cycle
+			{Op: MULI, Rd: 13, Rs: 12, Imm: 3},
+			{Op: ADDI, Rd: 14, Rs: 13, Imm: 1},
+			{Op: LI, Rd: 15, Imm: 1 << 41},
+			{Op: MUL, Rd: 16, Rs: 14, Rt: 15},
+			{Op: ADD, Rd: RRV, Rs: 16, Rt: 12},
+			{Op: RET},
+		}
+		code = append(code[:trapAt+1], code[trapAt:]...)
+		code[trapAt] = Inst{Op: DIV, Rd: 17, Rs: 12, Rt: RZero} // traps
+		run := func(exact bool) *Machine {
+			seg := &Segment{Name: "main", Code: code, Region: -1,
+				RegionOf: make([]int16, len(code)), SetupOf: make([]bool, len(code))}
+			prog := &Program{Segs: []*Segment{seg}, FuncIndex: map[string]int{"main": 0}, NumRegions: 1}
+			m := NewMachine(prog, 1<<12)
+			if exact {
+				m.Trace = io.Discard
+			}
+			if _, err := m.Call("main"); err == nil {
+				t.Fatalf("trap at %d: no error", trapAt)
+			}
+			return m
+		}
+		batched, exact := run(false), run(true)
+		if batched.Cycles != exact.Cycles || batched.Insts != exact.Insts ||
+			*batched.Region(0) != *exact.Region(0) {
+			t.Errorf("trap at %d: batched %d cycles, %d insts, %+v; exact %d, %d, %+v",
+				trapAt, batched.Cycles, batched.Insts, *batched.Region(0),
+				exact.Cycles, exact.Insts, *exact.Region(0))
+		}
 	}
 }
