@@ -20,6 +20,12 @@ all: check
 #   (TestDeadWriteSweepMatchesReference), stitched fusion and its plan
 #   (TestFuseStitchedMatchesReference) and the evict log against its
 #   map-indexed form (TestEvictLogMatchesMap);
+# - rtr's shutdown tests (Close, WaitIdle, full queues, close drains,
+#   backpressure) 20 more times under the race detector: one bounded work
+#   queue type (workQueue, queue.go) serves both background pipelines,
+#   async stitching and store publishing, differing only in what close
+#   does with queued items (fail a stitch, execute a store op), so a
+#   schedule-dependent failure of its push/close handshake shows up here;
 # - the persistent-store round trip (compile -> persist -> a fresh
 #   runtime serves byte-identical code from the store) and a short store
 #   differential sweep, raced;
@@ -53,6 +59,7 @@ check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race -timeout 120s ./internal/rtr
 	$(GO) test -race -timeout 120s ./internal/vm ./internal/stitcher
+	$(GO) test -race -count=20 -timeout 480s -run 'Close|WaitIdle|QueueFull|CloseDrains|Backpressure' ./internal/rtr
 	$(GO) test -race -timeout 120s -run 'TestPersistentStoreRoundTrip' .
 	$(GO) test -race -short -timeout 120s -run 'TestStoreFixedSeeds' ./internal/testgen
 	$(GO) test -race -short -timeout 180s -run 'TestCompileBatch|TestCompileRaceBatchVsSerial|TestDenseMatchesReference|TestAllocateMatchesReference' ./internal/core ./internal/ir ./internal/regalloc

@@ -4,18 +4,20 @@
 //
 // A shared-cache miss of an eligible region claims the (region, key)
 // singleflight entry, so concurrent missers schedule one stitch, and
-// enqueues a job on a bounded queue served by a small worker pool; a full
-// queue withdraws the claim (CacheStats.QueueRejects) and a later miss
-// retries. The call itself runs on the generic fallback tier (set-up code
-// plus the region's stitcher.Generic segment). A worker rebuilds the
-// region's run-time constants table from the key bytes alone
-// (Runtime.KeySetup, installed for regions proved Shareable), then runs
-// the inline winner's own produce and publish steps, so the store consult,
-// the generation fence and the caps are the same code; an entry
-// invalidated in flight is discarded (CacheStats.AsyncDiscards). The next
-// lookup of the key adopts the published segment into its machine's
-// level-2 cache (TestAsyncPromotionNextCall); PromoteLatency histograms
-// the schedule-to-publish time.
+// pushes a job on the runtime's stitch queue, a workQueue (queue.go)
+// served by StitchWorkers workers; a full queue withdraws the claim
+// (CacheStats.QueueRejects) and a later miss retries. The call itself runs
+// on the generic fallback tier (set-up code plus the region's
+// stitcher.Generic segment). A worker rebuilds the region's run-time
+// constants table from the key bytes alone (Runtime.KeySetup, installed
+// for regions proved Shareable), then runs the inline winner's own produce
+// and publish steps, so the store consult, the generation fence and the
+// caps are the same code; an entry invalidated in flight is discarded
+// (CacheStats.AsyncDiscards). The next lookup of the key adopts the
+// published segment into its machine's level-2 cache
+// (TestAsyncPromotionNextCall); PromoteLatency histograms the
+// schedule-to-publish time. Close fails the jobs still queued, withdrawing
+// their claims.
 //
 // Eligibility is per region: AsyncStitch on, a KeySetup function present,
 // and the generic segment buildable; any other region stitches inline.
@@ -23,7 +25,6 @@ package rtr
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -48,11 +49,6 @@ const DefaultStitchQueue = 64
 // [2^(i-1), 2^i) nanoseconds (bucket 0: < 1ns).
 const PromoteBuckets = 40
 
-var (
-	errAsyncQueueFull = errors.New("rtr: async stitch queue full")
-	errRuntimeClosed  = errors.New("rtr: runtime closed")
-)
-
 // stitchJob is one queued background stitch of e.key. The entry was
 // already claimed (mapped in its shard) by the scheduling machine.
 type stitchJob struct {
@@ -73,7 +69,7 @@ type genericSlot struct {
 // and returns the generic segment the caller should execute; nil means
 // "stitch inline as always".
 func (rt *Runtime) asyncFallback(region int, ks string) *vm.Segment {
-	if rt.jobs == nil || rt.KeySetup[region] == nil {
+	if rt.stitchQ == nil || rt.KeySetup[region] == nil {
 		return nil
 	}
 	gseg := rt.generic(region)
@@ -97,41 +93,19 @@ func (rt *Runtime) generic(region int) *vm.Segment {
 
 // schedule claims the singleflight entry for (region, key) and enqueues a
 // background stitch. If the key is already resident, in flight or queued,
-// it coalesces (no-op). If the queue is full, the claim is withdrawn
-// (backpressure): callers stay on the fallback tier and a later miss
-// retries.
+// it coalesces (no-op). If the queue is full or closed, the claim is
+// withdrawn (backpressure): callers stay on the fallback tier and a later
+// miss retries.
 func (rt *Runtime) schedule(region int, ks string) {
 	e, _, won := rt.claim(region, ks)
 	if !won {
 		return
 	}
-	// The quit-check and the send happen under closeMu's read side so they
-	// are atomic with respect to Close: either the job is enqueued before
-	// Close closes quit (and Close's drain fails it), or the closed quit is
-	// observed here and the claim is withdrawn. Without this a send racing
-	// Close could land after the drain, leaking the claim and the inflight
-	// count forever (WaitIdle would never return).
-	rt.closeMu.RLock()
-	select {
-	case <-rt.quit:
-		// Closed: the queue is no longer drained, so enqueueing would leak
-		// the claim forever. Withdraw it; callers keep running on the
-		// fallback tier.
-		rt.closeMu.RUnlock()
-		rt.withdraw(e, errRuntimeClosed)
-		return
-	default:
-	}
-	rt.startWorkers()
-	rt.inflight.Add(1)
-	select {
-	case rt.jobs <- stitchJob{e: e, enq: time.Now()}:
-		rt.closeMu.RUnlock()
-	default:
-		rt.closeMu.RUnlock()
-		rt.inflight.Add(-1)
-		rt.queueRejects.Add(1)
-		rt.withdraw(e, errAsyncQueueFull)
+	if err := rt.stitchQ.push(stitchJob{e: e, enq: time.Now()}); err != nil {
+		if err == errQueueFull {
+			rt.queueRejects.Add(1)
+		}
+		rt.withdraw(e, err)
 	}
 }
 
@@ -145,31 +119,6 @@ func (rt *Runtime) withdraw(e *entry, reason error) {
 	sh.mu.Unlock()
 }
 
-// startWorkers spawns the worker pool on first use (so a runtime that
-// never schedules a stitch never owns a goroutine).
-func (rt *Runtime) startWorkers() {
-	rt.workerOnce.Do(func() {
-		n := rt.Opts.Cache.StitchWorkers
-		if n <= 0 {
-			n = DefaultStitchWorkers
-		}
-		for i := 0; i < n; i++ {
-			go rt.worker()
-		}
-	})
-}
-
-func (rt *Runtime) worker() {
-	for {
-		select {
-		case <-rt.quit:
-			return
-		case job := <-rt.jobs:
-			rt.runJob(job)
-		}
-	}
-}
-
 // runJob performs one background stitch through the inline winner's own
 // produce and publish steps. The table source is the region's KeySetup,
 // resolved only after a store miss. The store is consulted under a fresh
@@ -177,22 +126,21 @@ func (rt *Runtime) worker() {
 // sweep, which refreshes e.gen under the shard lock. A store adoption
 // counts as neither an async stitch nor a discard — nothing was stitched.
 func (rt *Runtime) runJob(job stitchJob) {
-	defer rt.inflight.Add(-1)
 	region := job.e.key.region
 	gen := rt.gens[region].Load()
-	seg, stats, err := rt.produce(region, job.e.key.key, gen, tableSource{})
-	kept := rt.publish(job.e, gen, seg, stats, err)
+	seg, stats, stitched, err := rt.produce(region, job.e.key.key, gen, tableSource{})
+	kept := rt.publish(job.e, gen, seg, stats, stitched, err)
 	if err != nil {
 		return
 	}
-	if stats != nil {
+	if stitched {
 		rt.asyncStitches.Add(1)
 	}
 	if !kept {
 		// Invalidated (or explicitly flushed) while in flight, or the full
 		// cache had nothing to evict. Unlike the inline path there are no
 		// waiters to serve — fallback callers never block on the latch.
-		if stats != nil {
+		if stitched {
 			rt.asyncDiscards.Add(1)
 		}
 		return
@@ -238,11 +186,10 @@ func (rt *Runtime) notePromote(d time.Duration) {
 // quiesce the machines first if you need a stable point. It is a
 // diagnostics/test aid, not a synchronization primitive. Safe to call
 // concurrently from any number of goroutines and before, during or after
-// Close: Close fails queued jobs (decrementing the in-flight count) and
-// drains the store queue, so a WaitIdle racing it still terminates.
+// Close: Close drains both queues, so a WaitIdle racing it still
+// terminates.
 func (rt *Runtime) WaitIdle() {
-	for (rt.jobs != nil && rt.inflight.Load() > 0) ||
-		(rt.storeOps != nil && rt.storeInflight.Load() > 0) {
+	for !rt.stitchQ.idle() || !rt.storeQ.idle() {
 		time.Sleep(20 * time.Microsecond)
 	}
 }
@@ -258,31 +205,8 @@ func (rt *Runtime) WaitIdle() {
 // schedulers observe the closed runtime and stay on the fallback tier).
 // Jobs already being stitched by a worker finish and publish normally.
 func (rt *Runtime) Close() {
-	rt.closeAsync()
+	rt.stitchQ.close(func(job stitchJob) { rt.withdraw(job.e, errRuntimeClosed) })
 	rt.closeStore()
-}
-
-func (rt *Runtime) closeAsync() {
-	if rt.quit == nil {
-		return
-	}
-	rt.closeOnce.Do(func() {
-		// Exclude in-flight enqueues (see schedule): after this unlock,
-		// every job that won the race is in the queue and every loser has
-		// withdrawn its claim, so the drain below is complete.
-		rt.closeMu.Lock()
-		close(rt.quit)
-		rt.closeMu.Unlock()
-		for {
-			select {
-			case job := <-rt.jobs:
-				rt.withdraw(job.e, errRuntimeClosed)
-				rt.inflight.Add(-1)
-			default:
-				return
-			}
-		}
-	})
 }
 
 // Peek returns the resident shared-cache segment for (region, key-values)

@@ -23,9 +23,12 @@ const DefaultShards = 32
 // test while keeping a long KeepStitched run from leaking.
 const DefaultKeepStitchedCap = 512
 
-// CacheOptions tune the runtime's two-level stitch cache. The zero value
+// CacheOptions tune the runtime's two-level stitch cache (DESIGN.md,
+// "Runtime concurrency model" and "Cache lifecycle"). The zero value
 // preserves the historical behaviour exactly: unbounded retention at both
-// levels, cross-machine sharing on, no churn histogram.
+// levels, cross-machine sharing on, no churn histogram. Servers with
+// high-cardinality keys (user ids, query shapes) should set MaxEntries and
+// MachineMaxEntries: without caps every distinct key is retained forever.
 type CacheOptions struct {
 	// KeepStitched retains stitched segments in Runtime.Stitched for
 	// diagnostics (golden tests, disassembly dumps). Off by default: a
@@ -48,7 +51,9 @@ type CacheOptions struct {
 	// (level-1) cache across all regions and shards (0 = unbounded).
 	// In-flight singleflight entries are pinned and do not count against
 	// the cap. Both cache levels evict with one CLOCK policy (see clock.go):
-	// an unhit newcomer is the next candidate.
+	// a hit sets a segment's reference bit, and the hand clears set bits
+	// and evicts the first clear segment, whose slot the newest segment
+	// then takes, so an unhit newcomer is the next candidate.
 	MaxEntries int
 	// MaxCodeBytes bounds the resident stitched-code footprint of the
 	// shared cache in bytes (0 = unbounded), using vm.Segment.MemFootprint
@@ -84,6 +89,7 @@ type CacheOptions struct {
 	// caller ever blocks on compilation. Requires a key set-up function
 	// (Runtime.KeySetup, installed by the compiler front end for regions it
 	// proved shareable); regions without one stitch inline as before.
+	// Runtime.WaitIdle quiesces the pool and Runtime.Close releases it.
 	// See async.go for the pipeline and DESIGN.md "Tiered execution".
 	AsyncStitch bool
 	// StitchWorkers sizes the background stitcher pool
@@ -105,10 +111,6 @@ type CacheOptions struct {
 	// digest derivation and invalidation interplay, and segio.OpenDir for
 	// the on-disk implementation.
 	Store segio.Store
-	// StoreQueue bounds the pending store-publish queue
-	// (0 = DefaultStoreQueue). A full queue drops the operation, counted
-	// in CacheStats.StoreErrors.
-	StoreQueue int
 }
 
 // cacheKey identifies one specialization in the shared cache.
@@ -333,39 +335,39 @@ type tableSource struct {
 
 // produce makes the segment for (region, key), the one step every stitch
 // site shares. A shared region with a persistent store consults it first,
-// under gen: a persisted specialization comes back with nil stats, meaning
-// nothing was stitched. Otherwise the table is resolved (only now, so a
-// background worker's store hit skips key set-up) and stitched, and an
-// Auto region's segment is wrapped in its deoptimization guards before
+// under gen: a persisted specialization comes back with stitched false,
+// meaning nothing was stitched. Otherwise the table is resolved (only now,
+// so a background worker's store hit skips key set-up) and stitched, and
+// an Auto region's segment is wrapped in its deoptimization guards before
 // anything caches, publishes or persists it (see promote.go).
 func (rt *Runtime) produce(region int, key string, gen uint64,
-	src tableSource) (*vm.Segment, *stitcher.Stats, error) {
+	src tableSource) (seg *vm.Segment, stats stitcher.Stats, stitched bool, err error) {
 
 	r := rt.Regions[region]
 	if rt.shared(r) && rt.storeEnabled() {
 		if seg := rt.storeLoad(region, gen, key); seg != nil {
-			return seg, nil, nil
+			return seg, stats, false, nil
 		}
 	}
 	mem, tbl := src.mem, src.base
 	if mem == nil {
 		keyVals, err := decodeKey(key, len(r.KeyRegs))
 		if err != nil {
-			return nil, nil, err
+			return nil, stats, false, err
 		}
 		if mem, tbl, err = rt.KeySetup[region](keyVals); err != nil {
-			return nil, nil, err
+			return nil, stats, false, err
 		}
 	}
-	seg, stats, err := stitcher.Stitch(r, mem, tbl, rt.Prog.Segs[r.FuncID], rt.Opts.Stitcher)
+	seg, stats, err = stitcher.Stitch(r, mem, tbl, rt.Prog.Segs[r.FuncID], rt.Opts.Stitcher)
 	if err == nil {
 		seg, err = guardStitch(r, seg, key)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, stats, false, err
 	}
 	rt.stencilStitches.Add(1)
-	return seg, stats, nil
+	return seg, stats, true, nil
 }
 
 // publish completes the claimed entry e with produce's outcome: the one
@@ -373,7 +375,7 @@ func (rt *Runtime) produce(region int, key string, gen uint64,
 // worker and store adoption alike. Under the shard lock it releases e's
 // waiters, counts the outcome and makes e resident if the generation
 // fence and the caps admit it, and persists a stitched segment back to the
-// store. A segment loaded from the store (nil stats) is an adoption:
+// store. A segment loaded from the store (stitched false) is an adoption:
 // nothing was stitched, so no stitch, restitch or stitcher statistic is
 // counted and nothing is put back; gen, the generation the store was
 // consulted under, names its blob. publish reports whether e was kept. A
@@ -382,7 +384,7 @@ func (rt *Runtime) produce(region int, key string, gen uint64,
 // this attempt's waiters, which began before the invalidation, but is
 // neither retained nor persisted.
 func (rt *Runtime) publish(e *entry, gen uint64, seg *vm.Segment,
-	stats *stitcher.Stats, err error) bool {
+	stats stitcher.Stats, stitched bool, err error) bool {
 
 	region := e.key.region
 	h := keyHash(region, e.key.key)
@@ -402,15 +404,15 @@ func (rt *Runtime) publish(e *entry, gen uint64, seg *vm.Segment,
 	// The key is resident again: forget any logged eviction. Only a real
 	// stitch of such a key counts as a restitch.
 	restitch := sh.evicted.remove(e.key, h)
-	if stats != nil {
-		sh.noteStitchLocked(rt, region, stats, restitch)
+	if stitched {
+		sh.noteStitchLocked(rt, region, &stats, restitch)
 	}
 	if !mapped || e.gen != rt.gens[region].Load() || !rt.admitLocked(sh, e) {
 		sh.mu.Unlock()
 		return false
 	}
 	e.storeGen = gen
-	if stats != nil {
+	if stitched {
 		// Persist under the generation the entry is resident at (a sibling
 		// sweep may have refreshed it since the claim). Enqueued under the
 		// lock, so an invalidation that sweeps e queues its delete after
@@ -426,10 +428,10 @@ func (rt *Runtime) publish(e *entry, gen uint64, seg *vm.Segment,
 // recordStats publishes one private stitch of a non-shareable region: its
 // counts and statistics, folded into the shard of its (region, key); the
 // segment never enters the level-1 cache.
-func (rt *Runtime) recordStats(region int, key string, stats *stitcher.Stats) {
+func (rt *Runtime) recordStats(region int, key string, stats stitcher.Stats) {
 	sh := rt.shardFor(region, key)
 	sh.mu.Lock()
-	sh.noteStitchLocked(rt, region, stats, false)
+	sh.noteStitchLocked(rt, region, &stats, false)
 	sh.mu.Unlock()
 }
 

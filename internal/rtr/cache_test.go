@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"dyncc/internal/stitcher"
 	"dyncc/internal/tmpl"
 	"dyncc/internal/vm"
 )
@@ -166,7 +167,7 @@ func TestClaimWaitChannelOnDemand(t *testing.T) {
 		e2.await()
 		got = e2.seg
 	}()
-	rt.publish(e, gen, seg, nil, nil)
+	rt.publish(e, gen, seg, stitcher.Stats{}, false, nil)
 	wg.Wait()
 	if got != seg {
 		t.Fatal("waiter did not receive the winner's segment")

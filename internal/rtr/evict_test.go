@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"dyncc/internal/stitcher"
 	"dyncc/internal/tmpl"
 	"dyncc/internal/vm"
 )
@@ -27,7 +28,7 @@ func addCompleted(rt *Runtime, region int, key string, seg *vm.Segment) *entry {
 	if !won {
 		panic("addCompleted: key already claimed")
 	}
-	rt.publish(e, gen, seg, nil, nil)
+	rt.publish(e, gen, seg, stitcher.Stats{}, false, nil)
 	return e
 }
 

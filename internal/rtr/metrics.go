@@ -83,7 +83,7 @@ type CacheStats struct {
 // PromoteQuantile returns an upper bound on the q-quantile (0 < q <= 1) of
 // the publish latency, from the power-of-two histogram. Zero if nothing
 // was published.
-func (cs *CacheStats) PromoteQuantile(q float64) uint64 {
+func (cs CacheStats) PromoteQuantile(q float64) uint64 {
 	var total uint64
 	for _, n := range cs.PromoteLatency {
 		total += n

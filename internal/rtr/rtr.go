@@ -120,22 +120,16 @@ type Runtime struct {
 	// singleflighted, or background — counted in produce.
 	stencilStitches atomic.Uint64
 
-	// Asynchronous stitching state (see async.go). jobs and quit are nil
-	// unless CacheOptions.AsyncStitch is set; everything here is inert
-	// otherwise.
-	jobs       chan stitchJob
-	quit       chan struct{}
-	workerOnce sync.Once
-	closeOnce  sync.Once
-	// closeMu serializes job enqueues against Close: schedule holds the
-	// read side across its quit-check and channel send, Close holds the
-	// write side while closing quit. Without it a send could land after
-	// Close drained the queue, leaking the claim and the inflight count
-	// (WaitIdle would spin forever).
-	closeMu  sync.RWMutex
-	inflight atomic.Int64 // queued + running background stitches
-	generics []genericSlot
+	// Background pipelines, one workQueue each (queue.go): stitchQ runs
+	// background stitches and fails the ones still queued on Close
+	// (async.go); storeQ runs persistent-store operations and executes the
+	// ones still queued on Close (store.go). Each is nil unless
+	// CacheOptions.AsyncStitch or CacheOptions.Store, respectively, is set.
+	stitchQ *workQueue[stitchJob]
+	storeQ  *workQueue[storeOp]
 
+	// Generic-tier segments and counters of asynchronous stitching.
+	generics      []genericSlot
 	asyncStitches atomic.Uint64
 	fallbackRuns  atomic.Uint64
 	queueRejects  atomic.Uint64
@@ -149,19 +143,9 @@ type Runtime struct {
 	promotions atomic.Uint64
 	deopts     atomic.Uint64
 
-	// Persistent (level-0) store state (see store.go). storeOps and
-	// storeQuit are nil unless CacheOptions.Store is set; everything here
-	// is inert otherwise.
-	storeOps       chan storeOp
-	storeQuit      chan struct{}
-	storeOnce      sync.Once
-	storeCloseOnce sync.Once
-	// storeCloseMu serializes publish enqueues against closeStore, exactly
-	// as closeMu does for the async stitch queue.
-	storeCloseMu  sync.RWMutex
-	storeInflight atomic.Int64 // queued + running store operations
-	storeFpMu     sync.Mutex
-	storeFp       [][]byte // per-region template fingerprints, lazily derived
+	// Persistent (level-0) store state (see store.go).
+	storeFpMu sync.Mutex
+	storeFp   [][]byte // per-region template fingerprints, lazily derived
 
 	storeHits     atomic.Uint64
 	storeMisses   atomic.Uint64
@@ -189,20 +173,17 @@ func New(prog *vm.Program, regions []*tmpl.Region, opts Options) *Runtime {
 		rt.shards[i].inflight = map[cacheKey]*entry{}
 	}
 	if opts.Cache.AsyncStitch {
-		q := opts.Cache.StitchQueue
-		if q <= 0 {
-			q = DefaultStitchQueue
+		size, workers := opts.Cache.StitchQueue, opts.Cache.StitchWorkers
+		if size <= 0 {
+			size = DefaultStitchQueue
 		}
-		rt.jobs = make(chan stitchJob, q)
-		rt.quit = make(chan struct{})
+		if workers <= 0 {
+			workers = DefaultStitchWorkers
+		}
+		rt.stitchQ = newWorkQueue(size, workers, rt.runJob)
 	}
 	if opts.Cache.Store != nil {
-		q := opts.Cache.StoreQueue
-		if q <= 0 {
-			q = DefaultStoreQueue
-		}
-		rt.storeOps = make(chan storeOp, q)
-		rt.storeQuit = make(chan struct{})
+		rt.storeQ = newWorkQueue(DefaultStoreQueue, 1, rt.runStoreOp)
 		rt.storeFp = make([][]byte, len(regions))
 	}
 	if hasAuto(regions) {
@@ -492,19 +473,20 @@ func (rt *Runtime) stitchNow(m *vm.Machine, ms *machineState, region int,
 
 	r := rt.Regions[region]
 	var (
-		seg   *vm.Segment
-		stats *stitcher.Stats
-		err   error
+		seg      *vm.Segment
+		stats    stitcher.Stats
+		stitched bool
+		err      error
 	)
 	src := tableSource{mem: m.Mem, base: tbl}
 	if !rt.shared(r) {
-		seg, stats, err = rt.produce(region, key, 0, src)
+		seg, stats, stitched, err = rt.produce(region, key, 0, src)
 		if err == nil {
 			rt.recordStats(region, key, stats)
 		}
 	} else if e, gen, won := rt.claim(region, key); won {
-		seg, stats, err = rt.produce(region, key, gen, src)
-		rt.publish(e, gen, seg, stats, err)
+		seg, stats, stitched, err = rt.produce(region, key, gen, src)
+		rt.publish(e, gen, seg, stats, stitched, err)
 	} else {
 		e.await()
 		// A failed stitch is deterministic for a shareable region (the
@@ -518,7 +500,7 @@ func (rt *Runtime) stitchNow(m *vm.Machine, ms *machineState, region int,
 	ms.put(rt, region, key, seg)
 	rt.keepStitched(region, seg)
 
-	if stats != nil {
+	if stitched {
 		// This goroutine ran the stitcher: account the modeled cost.
 		rc := m.Region(region)
 		rc.StitchCycles += stats.CyclesModeled

@@ -45,11 +45,12 @@
 // (inline winner) or at the head of a background job — never on the
 // DYNENTER lookup path, so the warm path is untouched and concurrent
 // missers of one key pay one store read. Publishes back to the store
-// (and deletes) run on a single background publisher goroutine fed by a
-// bounded queue: the stitch path enqueues and moves on, never blocking on
-// I/O. A full queue drops the operation (counted in StoreErrors). Close
-// drains the queue executing the pending writes, so a clean shutdown
-// persists everything that was accepted.
+// (and deletes) run on the runtime's store queue, a workQueue (queue.go)
+// of DefaultStoreQueue pending operations served by one publisher: the
+// stitch path enqueues and moves on, never blocking on I/O. A full queue
+// drops the operation (counted in StoreErrors). Close drains the queue
+// executing the pending writes, then waits for the one the publisher is
+// running, so a clean shutdown persists everything that was accepted.
 package rtr
 
 import (
@@ -63,8 +64,9 @@ import (
 	"dyncc/internal/vm"
 )
 
-// DefaultStoreQueue bounds the pending store-publish queue when
-// CacheOptions.StoreQueue is zero.
+// DefaultStoreQueue bounds the pending store-publish queue. The stitch
+// path never blocks on store I/O, so an operation beyond the bound is
+// dropped (counted in CacheStats.StoreErrors) rather than held.
 const DefaultStoreQueue = 256
 
 // storeOp is one queued store operation: a segment publish (put) or a
@@ -79,7 +81,7 @@ type storeOp struct {
 }
 
 // storeEnabled reports whether the level-0 tier is configured.
-func (rt *Runtime) storeEnabled() bool { return rt.storeOps != nil }
+func (rt *Runtime) storeEnabled() bool { return rt.storeQ != nil }
 
 // fingerprint returns the region's template fingerprint, computing it on
 // first use (guarded by storeFpMu; the result is immutable after).
@@ -147,50 +149,17 @@ func (rt *Runtime) storePut(region int, gen uint64, key string, seg *vm.Segment)
 	rt.enqueueStore(storeOp{put: true, region: region, gen: gen, key: key, seg: seg})
 }
 
-// enqueueStore hands op to the publisher goroutine. The quit-check and
-// send are atomic with respect to closeStore (same handshake as
-// schedule/Close in async.go), so an op either lands before the drain or
-// is dropped here — never leaked into a dead queue. A full queue drops the
-// op and counts a StoreError.
+// enqueueStore hands op to the publisher. An op pushed after Close is
+// dropped; a full queue drops the op and counts a StoreError.
 func (rt *Runtime) enqueueStore(op storeOp) {
-	if !rt.storeEnabled() {
-		return
-	}
-	rt.storeCloseMu.RLock()
-	select {
-	case <-rt.storeQuit:
-		rt.storeCloseMu.RUnlock()
-		return
-	default:
-	}
-	rt.storeOnce.Do(func() { go rt.storePublisher() })
-	rt.storeInflight.Add(1)
-	select {
-	case rt.storeOps <- op:
-		rt.storeCloseMu.RUnlock()
-	default:
-		rt.storeCloseMu.RUnlock()
-		rt.storeInflight.Add(-1)
+	if rt.storeEnabled() && rt.storeQ.push(op) == errQueueFull {
 		rt.storeErrors.Add(1)
-	}
-}
-
-// storePublisher is the single background goroutine performing store I/O.
-func (rt *Runtime) storePublisher() {
-	for {
-		select {
-		case <-rt.storeQuit:
-			return
-		case op := <-rt.storeOps:
-			rt.runStoreOp(op)
-		}
 	}
 }
 
 // runStoreOp executes one queued operation (publisher goroutine, or the
 // closeStore drain).
 func (rt *Runtime) runStoreOp(op storeOp) {
-	defer rt.storeInflight.Add(-1)
 	d := rt.storeDigest(op.region, op.gen, op.key)
 	if !op.put {
 		if err := rt.Opts.Cache.Store.Delete(d); err != nil {
@@ -211,23 +180,8 @@ func (rt *Runtime) runStoreOp(op storeOp) {
 // exists for). It then waits out any operation the publisher had already
 // dequeued, so when Close returns every accepted put is in the store.
 func (rt *Runtime) closeStore() {
-	if !rt.storeEnabled() {
-		return
+	rt.storeQ.close(rt.runStoreOp)
+	for !rt.storeQ.idle() {
+		time.Sleep(20 * time.Microsecond)
 	}
-	rt.storeCloseOnce.Do(func() {
-		rt.storeCloseMu.Lock()
-		close(rt.storeQuit)
-		rt.storeCloseMu.Unlock()
-		for {
-			select {
-			case op := <-rt.storeOps:
-				rt.runStoreOp(op)
-			default:
-				for rt.storeInflight.Load() > 0 {
-					time.Sleep(20 * time.Microsecond)
-				}
-				return
-			}
-		}
-	})
 }

@@ -2,9 +2,11 @@ package rtr
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"dyncc/internal/segio"
+	"dyncc/internal/stitcher"
 	"dyncc/internal/tmpl"
 	"dyncc/internal/vm"
 )
@@ -189,7 +191,7 @@ func TestPublishAdoption(t *testing.T) {
 	if !won {
 		t.Fatal("claim on an empty cache lost")
 	}
-	if !rt.publish(e, gen, seg, nil, nil) {
+	if !rt.publish(e, gen, seg, stitcher.Stats{}, false, nil) {
 		t.Fatal("adoption declined with a live generation")
 	}
 	if rt.lookupShared(0, "k") != seg {
@@ -212,7 +214,7 @@ func TestPublishAdoption(t *testing.T) {
 	// attempt's waiters but never retained.
 	e2, gen2, _ := rt.claim(0, "k2")
 	rt.gens[0].Add(1)
-	if rt.publish(e2, gen2, storedSeg(), nil, nil) {
+	if rt.publish(e2, gen2, storedSeg(), stitcher.Stats{}, false, nil) {
 		t.Fatal("stale-generation adoption was retained")
 	}
 	e2.await()
@@ -280,8 +282,8 @@ func TestStoreQueueFullDrops(t *testing.T) {
 	defer rt.Close()
 	// Burn the once so the publisher goroutine never starts draining, then
 	// overfill the queue.
-	rt.storeOnce.Do(func() {})
-	qcap := cap(rt.storeOps)
+	rt.storeQ.start.Do(func() {})
+	qcap := cap(rt.storeQ.ch)
 	for i := 0; i <= qcap; i++ {
 		rt.storePut(0, 0, fmt.Sprintf("k%d", i), storedSeg())
 	}
@@ -295,7 +297,7 @@ func TestStoreQueueFullDrops(t *testing.T) {
 func TestStoreCloseDrains(t *testing.T) {
 	store := segio.NewMemStore()
 	rt := storeTestRuntime(store, 1)
-	rt.storeOnce.Do(func() {}) // publisher never runs; Close must drain
+	rt.storeQ.start.Do(func() {}) // publisher never runs; Close must drain
 	for i := 0; i < 5; i++ {
 		rt.storePut(0, 0, fmt.Sprintf("k%d", i), storedSeg())
 	}
@@ -303,7 +305,7 @@ func TestStoreCloseDrains(t *testing.T) {
 	if store.Len() != 5 {
 		t.Fatalf("store holds %d entries after Close, want 5", store.Len())
 	}
-	if n := rt.storeInflight.Load(); n != 0 {
+	if n := rt.storeQ.inflight.Load(); n != 0 {
 		t.Errorf("storeInflight = %d after Close", n)
 	}
 	// Post-close operations are silently ignored, never enqueued.
@@ -312,6 +314,49 @@ func TestStoreCloseDrains(t *testing.T) {
 		t.Error("post-Close put landed")
 	}
 	rt.Close() // idempotent
+}
+
+// TestStoreCloseRacesPuts is the store side of the close race
+// (TestCloseRacesScheduling is the stitch side): puts racing Close are
+// either in the store when Close returns or dropped. None leaks into the
+// closed queue, which would hang WaitIdle, and none lands afterwards.
+func TestStoreCloseRacesPuts(t *testing.T) {
+	const putters, puts = 4, 64
+	for round := 0; round < 20; round++ {
+		store := segio.NewMemStore()
+		rt := storeTestRuntime(store, 1)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < putters; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				for k := 0; k < puts; k++ {
+					rt.storePut(0, 0, fmt.Sprintf("p%d.%d", i, k), storedSeg())
+				}
+			}(i)
+		}
+		atClose := make(chan int)
+		go func() {
+			<-start
+			rt.Close()
+			atClose <- store.Len()
+		}()
+		close(start)
+		landed := <-atClose
+		wg.Wait()
+		rt.WaitIdle()
+		if !rt.storeQ.idle() {
+			t.Fatalf("round %d: store queue holds %d ops after Close", round, rt.storeQ.inflight.Load())
+		}
+		if cs := rt.CacheStats(); cs.StorePuts != uint64(store.Len()) {
+			t.Errorf("round %d: StorePuts = %d, store holds %d", round, cs.StorePuts, store.Len())
+		}
+		if n := store.Len(); n != landed {
+			t.Errorf("round %d: %d puts landed after Close returned", round, n-landed)
+		}
+	}
 }
 
 // TestFingerprintSensitivity: the digest must change with anything the

@@ -93,22 +93,22 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // concurrent stitches of the same specialization, but distinct
 // specializations may stitch in parallel).
 func Stitch(region *tmpl.Region, mem []int64, tableBase int64,
-	parent *vm.Segment, opts Options) (*vm.Segment, *Stats, error) {
+	parent *vm.Segment, opts Options) (*vm.Segment, Stats, error) {
 
 	if err := checkStencil(region); err != nil {
-		return nil, nil, err
+		return nil, Stats{}, err
 	}
 	sc := scratchPool.Get().(*scratch)
 	st := &sc.st
 	st.begin(region, mem, tableBase, opts)
 	if err := st.emit(); err != nil {
 		st.release(sc)
-		return nil, nil, err
+		return nil, Stats{}, err
 	}
 	seg := st.materialize(parent)
 	stats := st.statsVal
 	st.release(sc)
-	return seg, &stats, nil
+	return seg, stats, nil
 }
 
 // DryStitch runs the full emission pipeline — block walk, hole patching,
@@ -116,7 +116,7 @@ func Stitch(region *tmpl.Region, mem []int64, tableBase int64,
 // materializing a segment. On warm scratch a dry stitch is
 // allocation-free, so DryStitch (BenchmarkDryStitchStencil) isolates
 // emission cost from the allocations of a real stitch (the segment, its
-// fused code, its four-object exec plan and the stats: 7 objects,
+// fused code and its four-object exec plan: 6 objects,
 // TestStitchAllocBudget).
 func DryStitch(region *tmpl.Region, mem []int64, tableBase int64,
 	opts Options) (Stats, error) {
