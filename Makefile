@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check check-passes race fuzz bench-host bench-stitch table2
+.PHONY: all check check-passes race fuzz bench-host bench-stitch bench-restart table2
 
 all: check
 
@@ -98,6 +98,16 @@ bench-host:
 bench-stitch:
 	$(GO) test -run '^$$' -bench 'StitchServeShape' -benchmem -count=5 ./internal/stitcher
 	$(GO) test -run '^$$' -bench 'Fuse|BuildPlan' -benchmem -count=5 ./internal/vm
+
+# Restart-path benchmarks, 5 samples each: the persistent store's region
+# fingerprints, derived by rtr.New for a compile that configures a store
+# (BenchmarkRegionFingerprint, one serving tenant of each flavor); the
+# front end's streaming parse (BenchmarkParse); and a fresh tenant-sized
+# machine (BenchmarkNewMachine).
+bench-restart:
+	$(GO) test -run '^$$' -bench 'RegionFingerprint' -benchmem -count=5 ./internal/rtr
+	$(GO) test -run '^$$' -bench 'Parse' -benchmem -count=5 ./internal/parser
+	$(GO) test -run '^$$' -bench 'NewMachine' -benchmem -count=5 ./internal/vm
 
 # Longer differential-fuzz session against the unoptimized-IR reference
 # interpreter (check already runs a 10s smoke).

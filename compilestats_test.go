@@ -22,12 +22,12 @@ int f(int c, int x) {
 	stats := p.CompileStats()
 	byName := map[string]PassStat{}
 	for _, st := range stats {
-		byName[st.Name] = st
+		byName[st.Pass] = st
 		if st.Duration <= 0 {
-			t.Errorf("pass %s: zero duration", st.Name)
+			t.Errorf("pass %s: zero duration", st.Pass)
 		}
 		if st.Runs == 0 {
-			t.Errorf("pass %s: zero runs", st.Name)
+			t.Errorf("pass %s: zero runs", st.Pass)
 		}
 	}
 	for _, want := range []string{"parse", "lower", "ssa", "const-fold", "simplify",
@@ -55,7 +55,7 @@ func TestConfigDisableAndDump(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, st := range p.CompileStats() {
-		if st.Name == "simplify" {
+		if st.Pass == "simplify" {
 			t.Error("disabled pass present in stats")
 		}
 	}

@@ -27,10 +27,11 @@ package dyncc
 
 import (
 	"io"
-	"time"
+	"slices"
 
 	"dyncc/internal/core"
 	"dyncc/internal/ir"
+	"dyncc/internal/pipeline"
 	"dyncc/internal/rtr"
 	"dyncc/internal/segio"
 	"dyncc/internal/stitcher"
@@ -183,14 +184,7 @@ func Compile(src string, cfg Config) (*Program, error) {
 // (and failed), the worker-pool size, batch wall clock and throughput, and
 // the pipeline's per-pass stats merged across every program and worker (so
 // a batch profiles exactly like one compile, scaled).
-type BatchStats struct {
-	Programs       int
-	Failed         int
-	Workers        int
-	Elapsed        time.Duration
-	ProgramsPerSec float64
-	PassTotals     []PassStat
-}
+type BatchStats = core.BatchStats
 
 // BatchResult is a deterministic batch compilation result: slot i always
 // corresponds to source i, regardless of worker scheduling.
@@ -220,13 +214,7 @@ func CompileBatch(srcs []string, cfg Config) (*BatchResult, error) {
 	}
 	out := &BatchResult{
 		Programs: make([]*Program, len(br.Programs)),
-		Stats: BatchStats{
-			Programs:       br.Stats.Programs,
-			Failed:         br.Stats.Failed,
-			Workers:        br.Stats.Workers,
-			Elapsed:        br.Stats.Elapsed,
-			ProgramsPerSec: br.Stats.ProgramsPerSec,
-		},
+		Stats:    br.Stats,
 	}
 	for i, c := range br.Programs {
 		if c != nil {
@@ -235,14 +223,6 @@ func CompileBatch(srcs []string, cfg Config) (*BatchResult, error) {
 	}
 	if br.Errs != nil {
 		out.Errs = append([]error(nil), br.Errs...)
-	}
-	for _, st := range br.Stats.PassTotals {
-		out.Stats.PassTotals = append(out.Stats.PassTotals, PassStat{
-			Name:     st.Pass,
-			Duration: st.Duration,
-			Runs:     st.Runs,
-			Changes:  st.Changes,
-		})
 	}
 	return out, nil
 }
@@ -299,89 +279,33 @@ func (ma *Machine) Insts() uint64 { return ma.m.Insts }
 // ResetCounters clears cycle counters and region statistics.
 func (ma *Machine) ResetCounters() { ma.m.ResetCounters() }
 
-// RegionStats are the per-region counters (paper Table 2 raw material).
-type RegionStats struct {
-	Invocations   uint64
-	ExecCycles    uint64 // cycles executing region code (stitched or static)
-	SetupCycles   uint64 // set-up code cycles (dynamic-compile overhead)
-	StitchCycles  uint64 // modeled stitcher cycles
-	StitchedInsts uint64
-	Compiles      uint64
-}
-
-// Overhead is the total dynamic compilation overhead in cycles.
-func (rs RegionStats) Overhead() uint64 { return rs.SetupCycles + rs.StitchCycles }
+// RegionStats are the per-region counters (paper Table 2 raw material);
+// Overhead is their dynamic-compilation overhead in cycles.
+type RegionStats = vm.RegionCounters
 
 // Region returns the counters for global region index r.
-func (ma *Machine) Region(r int) RegionStats {
-	rc := ma.m.Region(r)
-	return RegionStats{
-		Invocations:   rc.Invocations,
-		ExecCycles:    rc.ExecCycles,
-		SetupCycles:   rc.SetupCycles,
-		StitchCycles:  rc.StitchCycles,
-		StitchedInsts: rc.StitchedInsts,
-		Compiles:      rc.Compiles,
-	}
-}
+func (ma *Machine) Region(r int) RegionStats { return *ma.m.Region(r) }
 
 // StitchStats summarizes what the stitcher did for one region across all
 // machines of this program (paper Table 3 raw material).
-type StitchStats struct {
-	InstsStitched      int
-	HolesPatched       int
-	BranchesResolved   int
-	LoopIterations     int
-	StrengthReductions int
-	LargeConsts        int
-	LoadsPromoted      int
-	StoresPromoted     int
-}
+type StitchStats = stitcher.Stats
 
 // StitchStats returns runtime stitcher statistics for region r.
-func (p *Program) StitchStats(r int) StitchStats {
-	s := p.c.Runtime.Stats(r)
-	return StitchStats{
-		InstsStitched:      s.InstsStitched,
-		HolesPatched:       s.HolesPatched,
-		BranchesResolved:   s.BranchesResolved,
-		LoopIterations:     s.LoopIterations,
-		StrengthReductions: s.StrengthReductions,
-		LargeConsts:        s.LargeConsts,
-		LoadsPromoted:      s.LoadsPromoted,
-		StoresPromoted:     s.StoresPromoted,
-	}
-}
+func (p *Program) StitchStats(r int) StitchStats { return p.c.Runtime.Stats(r) }
 
-// PassStat is one row of the static compiler's pipeline report: how long
-// a pass ran (wall clock, summed over executions), how many times it ran
-// (optimizer sub-passes run once per fixpoint round), and how many IR
-// changes it made. The synthetic "verify" row accumulates the ir.Verify
-// runs the pipeline interposes after every module-mutating pass.
-type PassStat struct {
-	Name     string
-	Duration time.Duration
-	Runs     int
-	Changes  int
-}
+// PassStat is one row of the static compiler's pipeline report, named by
+// Pass: how long a pass ran (wall clock, summed over executions), how many
+// times it ran (optimizer sub-passes run once per fixpoint round), and how
+// many IR changes it made. The synthetic "verify" row accumulates the
+// ir.Verify runs the pipeline interposes after every module-mutating pass.
+type PassStat = pipeline.PassStat
 
 // CompileStats reports the compiler pipeline's per-pass timings and
 // change counts in execution order: parse, lower, ssa, the optimizer
 // sub-passes (const-fold, simplify, branch-fold, copy-prop, cse, dce),
 // the optimize group total, split, codegen, and verify. Disabled passes
 // are absent.
-func (p *Program) CompileStats() []PassStat {
-	stats := make([]PassStat, len(p.c.Stats))
-	for i, st := range p.c.Stats {
-		stats[i] = PassStat{
-			Name:     st.Pass,
-			Duration: st.Duration,
-			Runs:     st.Runs,
-			Changes:  st.Changes,
-		}
-	}
-	return stats
-}
+func (p *Program) CompileStats() []PassStat { return slices.Clone(p.c.Stats) }
 
 // RuntimeCacheStats summarizes the stitch-cache lifecycle across every
 // machine of a program: stitch counts, lookup outcomes, eviction churn,
@@ -436,25 +360,10 @@ func (p *Program) InvalidateKey(r int, keyVals ...int64) {
 // PlanStats reports the optimizations the static compiler planned for
 // region r (constant folding, load elimination, branch elimination,
 // complete unrolling — paper Table 3).
-type PlanStats struct {
-	ConstOpsFolded  int
-	LoadsEliminated int
-	ConstBranches   int
-	LoopsUnrolled   int
-	Holes           int
-}
+type PlanStats = tmpl.Stats
 
 // PlanStats returns the splitter's plan for global region index r.
-func (p *Program) PlanStats(r int) PlanStats {
-	t := p.c.Output.Regions[r]
-	return PlanStats{
-		ConstOpsFolded:  t.Stats.ConstOpsFolded,
-		LoadsEliminated: t.Stats.LoadsEliminated,
-		ConstBranches:   t.Stats.ConstBranches,
-		LoopsUnrolled:   t.Stats.LoopsUnrolled,
-		Holes:           t.Stats.Holes,
-	}
-}
+func (p *Program) PlanStats(r int) PlanStats { return p.c.Output.Regions[r].Stats }
 
 // NumRegions returns the number of dynamic regions in the program.
 func (p *Program) NumRegions() int { return len(p.c.Output.Regions) }

@@ -15,42 +15,51 @@ import (
 	"dyncc/internal/token"
 )
 
-// Parser holds parse state.
+// Parser holds parse state. Tokens stream from the lexer through a
+// three-token window (the parser never looks further ahead than two tokens
+// past the current one): win[head&3] is the current token and the next two
+// follow it around the ring. The lexer's EOF is sticky, so past the end of
+// the source every window slot holds EOF.
 type Parser struct {
-	toks []token.Token
-	pos  int
+	lx   lexer.Lexer
+	win  [4]token.Token
+	head uint8
 	errs []error
 
 	structNames map[string]bool
 }
 
-// Parse parses a MiniC translation unit.
+// Parse parses a MiniC translation unit. A lex error anywhere in the
+// source is reported ahead of any parse error.
 func Parse(src string) (*ast.File, error) {
-	lx := lexer.New(src)
-	toks := lx.All()
-	if errs := lx.Errors(); len(errs) > 0 {
+	p := &Parser{lx: *lexer.New(src), structNames: map[string]bool{}}
+	for i := 0; i < 3; i++ {
+		p.win[i] = p.lx.Next()
+	}
+	f := p.file()
+	// The parser stops at its first error; lex the rest so a later lex
+	// error still wins.
+	for t := p.peek2(); t.Kind != token.EOF; t = p.lx.Next() {
+	}
+	if errs := p.lx.Errors(); len(errs) > 0 {
 		return nil, fmt.Errorf("lex: %w", errs[0])
 	}
-	p := &Parser{toks: toks, structNames: map[string]bool{}}
-	f := p.file()
 	if len(p.errs) > 0 {
 		return nil, p.errs[0]
 	}
 	return f, nil
 }
 
-func (p *Parser) cur() token.Token { return p.toks[p.pos] }
-func (p *Parser) peek() token.Token {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
-	}
-	return p.toks[len(p.toks)-1]
-}
+func (p *Parser) cur() token.Token   { return p.win[p.head&3] }
+func (p *Parser) peek() token.Token  { return p.win[(p.head+1)&3] }
+func (p *Parser) peek2() token.Token { return p.win[(p.head+2)&3] }
 
+// next consumes the current token; at EOF it stays put.
 func (p *Parser) next() token.Token {
-	t := p.toks[p.pos]
-	if p.pos+1 < len(p.toks) {
-		p.pos++
+	t := p.cur()
+	if t.Kind != token.EOF {
+		p.win[(p.head+3)&3] = p.lx.Next()
+		p.head++
 	}
 	return t
 }
@@ -77,9 +86,7 @@ func (p *Parser) errorf(format string, args ...any) {
 	err := fmt.Errorf("%s: %s", p.cur().Pos, fmt.Sprintf(format, args...))
 	p.errs = append(p.errs, err)
 	// Panic-free error recovery: skip one token so we make progress.
-	if !p.at(token.EOF) {
-		p.pos++
-	}
+	p.next()
 }
 
 // ------------------------------------------------------------ top level
@@ -88,7 +95,9 @@ func (p *Parser) file() *ast.File {
 	f := &ast.File{}
 	for !p.at(token.EOF) && len(p.errs) == 0 {
 		switch {
-		case p.at(token.KwStruct) && p.peek().Kind == token.IDENT && p.peekAfterStructIsBrace():
+		// `struct Name {` is a struct definition, not a struct-typed
+		// declaration.
+		case p.at(token.KwStruct) && p.peek().Kind == token.IDENT && p.peek2().Kind == token.LBRACE:
 			f.Structs = append(f.Structs, p.structDecl())
 		case p.at(token.KwExtern):
 			p.next()
@@ -98,12 +107,6 @@ func (p *Parser) file() *ast.File {
 		}
 	}
 	return f
-}
-
-// peekAfterStructIsBrace reports whether `struct Name {` follows (a struct
-// definition rather than a struct-typed declaration).
-func (p *Parser) peekAfterStructIsBrace() bool {
-	return p.pos+2 < len(p.toks) && p.toks[p.pos+2].Kind == token.LBRACE
 }
 
 func (p *Parser) structDecl() *ast.StructDecl {

@@ -46,6 +46,7 @@
 package rtr
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -144,8 +145,7 @@ type Runtime struct {
 	deopts     atomic.Uint64
 
 	// Persistent (level-0) store state (see store.go).
-	storeFpMu sync.Mutex
-	storeFp   [][]byte // per-region template fingerprints, lazily derived
+	storeFp [][sha256.Size]byte // per-region template fingerprints, set by New
 
 	storeHits     atomic.Uint64
 	storeMisses   atomic.Uint64
@@ -184,7 +184,7 @@ func New(prog *vm.Program, regions []*tmpl.Region, opts Options) *Runtime {
 	}
 	if opts.Cache.Store != nil {
 		rt.storeQ = newWorkQueue(DefaultStoreQueue, 1, rt.runStoreOp)
-		rt.storeFp = make([][]byte, len(regions))
+		rt.storeFp = rt.regionFingerprints()
 	}
 	if hasAuto(regions) {
 		rt.initAuto()
@@ -248,7 +248,8 @@ func (rt *Runtime) InvalidateKey(region int, keyVals ...int64) {
 	rt.invalidations.Add(1)
 	// The persisted blob must go too (see store.go "Generations"). A
 	// resident key's blob is named by the generation it was persisted or
-	// loaded under; any other key's, by the previous generation.
+	// loaded under; any other key's, by the previous generation. Only a
+	// shared region consults the store, so only its blobs exist.
 	del := gen - 1
 	// Sibling keys were not invalidated: refresh their generation snapshot
 	// so lookups keep serving them and an in-flight stitch still publishes.
@@ -274,7 +275,9 @@ func (rt *Runtime) InvalidateKey(region int, keyVals ...int64) {
 		}
 		sh.mu.Unlock()
 	}
-	rt.enqueueStore(storeOp{region: region, gen: del, key: ck.key})
+	if rt.shared(rt.Regions[region]) {
+		rt.enqueueStore(storeOp{region: region, gen: del, key: ck.key})
+	}
 }
 
 // Generation returns region's current generation number (diagnostics).

@@ -11,15 +11,25 @@
 //
 //	fingerprint(region) || generation || key bytes
 //
-// where fingerprint(region) is itself SHA-256 over the segio encoding
-// version, the stitcher options, the region's key registers, the full
-// template dump, and the segio encoding of the region's parent segment —
-// everything the stitcher's output depends on besides the key. Two
-// processes compiled from the same source derive the same fingerprint and
-// so share entries; any divergence (different optimization flags, a
-// recompiled program, a segio format bump) changes the fingerprint and
-// simply misses — the store can never serve bytes stitched under different
-// assumptions.
+// where fingerprint(region) is itself SHA-256 over a binary encoding of
+// everything the stitcher's output depends on besides the key, in this
+// order: the segio encoding version; the region's name, table size and
+// entry block; each template block's code (every vm.Inst field), holes
+// (pc, slot, Float), terminator (kind, condition register, constant slot,
+// cases, successor edges) and loop id; the unrolled loops' table linkage;
+// the key registers; the Auto flag and deoptimization pc (guard wrapping);
+// the three stitcher.Options switches as bits; and the SHA-256 of the
+// parent function's segio encoding. Integers are varints and every list is
+// length-prefixed, so distinct inputs never encode to the same bytes.
+//
+// New derives the fingerprints once, and only when a store is configured
+// and only for regions that consult it (shared ones), hashing each parent
+// segment once per function. A compile that never configures a store pays
+// nothing. Two processes compiled from the same source derive the same
+// fingerprint and so share entries; any divergence (different
+// optimization flags, a recompiled program, a segio format bump) changes
+// the fingerprint and simply misses — the store can never serve bytes
+// stitched under different assumptions.
 //
 // # Generations
 //
@@ -56,11 +66,11 @@ package rtr
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
-	"io"
 	"time"
 
 	"dyncc/internal/segio"
+	"dyncc/internal/stitcher"
+	"dyncc/internal/tmpl"
 	"dyncc/internal/vm"
 )
 
@@ -83,38 +93,117 @@ type storeOp struct {
 // storeEnabled reports whether the level-0 tier is configured.
 func (rt *Runtime) storeEnabled() bool { return rt.storeQ != nil }
 
-// fingerprint returns the region's template fingerprint, computing it on
-// first use (guarded by storeFpMu; the result is immutable after).
-func (rt *Runtime) fingerprint(region int) []byte {
-	rt.storeFpMu.Lock()
-	defer rt.storeFpMu.Unlock()
-	if fp := rt.storeFp[region]; fp != nil {
-		return fp
+// regionFingerprints derives the fingerprint (see "Digest derivation") of
+// every region that consults the store; the others' entries stay zero.
+// Each parent segment is encoded and hashed once, however many regions it
+// holds.
+func (rt *Runtime) regionFingerprints() [][sha256.Size]byte {
+	fps := make([][sha256.Size]byte, len(rt.Regions))
+	parents := map[int][sha256.Size]byte{}
+	b := make([]byte, 0, 1024) // reused for every region
+	for i, r := range rt.Regions {
+		if !rt.shared(r) {
+			continue
+		}
+		parent, ok := parents[r.FuncID]
+		if !ok {
+			parent = sha256.Sum256(segio.Encode(rt.Prog.Segs[r.FuncID]))
+			parents[r.FuncID] = parent
+		}
+		b = appendFingerprint(b[:0], r, rt.Opts.Stitcher)
+		b = append(b, parent[:]...)
+		fps[i] = sha256.Sum256(b)
 	}
-	r := rt.Regions[region]
-	h := sha256.New()
-	fmt.Fprintf(h, "segio v%d\n", segio.Version)
-	fmt.Fprintf(h, "stitcher %+v\n", rt.Opts.Stitcher)
-	fmt.Fprintf(h, "keyregs %v\n", r.KeyRegs)
-	io.WriteString(h, r.Dump())
-	h.Write(segio.Encode(rt.Prog.Segs[r.FuncID]))
-	fp := h.Sum(nil)
-	rt.storeFp[region] = fp
-	return fp
+	return fps
+}
+
+// appendFingerprint appends the binary encoding of r's templates and the
+// stitcher options that the fingerprint hashes, in the order "Digest
+// derivation" lists.
+func appendFingerprint(b []byte, r *tmpl.Region, opts stitcher.Options) []byte {
+	b = binary.AppendUvarint(b, segio.Version)
+	b = binary.AppendUvarint(b, uint64(len(r.Name)))
+	b = append(b, r.Name...)
+	b = binary.AppendVarint(b, int64(r.TableSize))
+	b = binary.AppendVarint(b, int64(r.Entry))
+	b = binary.AppendUvarint(b, uint64(len(r.Blocks)))
+	for _, blk := range r.Blocks {
+		b = binary.AppendUvarint(b, uint64(len(blk.Code)))
+		for _, in := range blk.Code {
+			b = append(b, byte(in.Op), byte(in.Rd), byte(in.Rs), byte(in.Rt),
+				byte(in.Sub), in.XCost, in.XInsts)
+			b = binary.AppendVarint(b, in.Imm)
+			b = binary.AppendVarint(b, int64(in.Target))
+		}
+		b = binary.AppendUvarint(b, uint64(len(blk.Holes)))
+		for _, h := range blk.Holes {
+			b = binary.AppendVarint(b, int64(h.Pc))
+			b = appendSlot(b, h.Slot)
+			b = appendBits(b, h.Float)
+		}
+		t := &blk.Term
+		b = binary.AppendVarint(b, int64(t.Kind))
+		b = append(b, byte(t.CondReg))
+		b = appendBits(b, t.ConstSlot != nil)
+		if t.ConstSlot != nil {
+			b = appendSlot(b, *t.ConstSlot)
+		}
+		b = binary.AppendUvarint(b, uint64(len(t.Cases)))
+		for _, c := range t.Cases {
+			b = binary.AppendVarint(b, c)
+		}
+		b = binary.AppendUvarint(b, uint64(len(t.Succs)))
+		for _, e := range t.Succs {
+			b = binary.AppendVarint(b, int64(e.Block))
+			b = binary.AppendVarint(b, int64(e.ExitPC))
+		}
+		b = binary.AppendVarint(b, int64(blk.LoopID))
+	}
+	b = binary.AppendUvarint(b, uint64(len(r.Loops)))
+	for _, l := range r.Loops {
+		b = binary.AppendVarint(b, int64(l.ID))
+		b = binary.AppendVarint(b, int64(l.ParentID))
+		b = appendSlot(b, l.HeaderSlot)
+		b = binary.AppendVarint(b, int64(l.NextSlot))
+		b = binary.AppendVarint(b, int64(l.RecordSize))
+		b = binary.AppendVarint(b, int64(l.HeadBlock))
+		b = binary.AppendVarint(b, int64(l.LatchBlock))
+	}
+	b = binary.AppendUvarint(b, uint64(len(r.KeyRegs)))
+	for _, k := range r.KeyRegs {
+		b = append(b, byte(k))
+	}
+	b = appendBits(b, r.Auto)
+	b = binary.AppendVarint(b, int64(r.DeoptPC))
+	return appendBits(b, opts.NoStrengthReduction, opts.NoFuse, opts.RegisterActions)
+}
+
+func appendSlot(b []byte, s tmpl.SlotRef) []byte {
+	b = binary.AppendVarint(b, int64(s.LoopID))
+	return binary.AppendVarint(b, int64(s.Slot))
+}
+
+// appendBits appends up to eight flags as the bits of one byte, the first
+// flag in the lowest bit.
+func appendBits(b []byte, flags ...bool) []byte {
+	var v byte
+	for i, f := range flags {
+		if f {
+			v |= 1 << i
+		}
+	}
+	return append(b, v)
 }
 
 // storeDigest names one (region, generation, key) specialization in the
-// store.
+// store: one SHA-256 over fingerprint || generation || key, assembled in a
+// stack buffer.
 func (rt *Runtime) storeDigest(region int, gen uint64, key string) segio.Digest {
-	h := sha256.New()
-	h.Write(rt.fingerprint(region))
-	var g [8]byte
-	binary.BigEndian.PutUint64(g[:], gen)
-	h.Write(g[:])
-	io.WriteString(h, key)
-	var d segio.Digest
-	h.Sum(d[:0])
-	return d
+	var buf [128]byte
+	b := append(buf[:0], rt.storeFp[region][:]...)
+	b = binary.BigEndian.AppendUint64(b, gen)
+	b = append(b, key...)
+	return sha256.Sum256(b)
 }
 
 // storeLoad consults the store for (region, gen, key) and returns the

@@ -18,7 +18,7 @@ type RegionCounters struct {
 }
 
 // Overhead returns the total dynamic-compilation overhead in cycles.
-func (rc *RegionCounters) Overhead() uint64 { return rc.SetupCycles + rc.StitchCycles }
+func (rc RegionCounters) Overhead() uint64 { return rc.SetupCycles + rc.StitchCycles }
 
 // Machine executes a Program.
 //
@@ -77,7 +77,8 @@ type frame struct {
 }
 
 // NewMachine creates a machine with the given memory size in words
-// (0 picks a 4M-word default).
+// (0 picks a 4M-word default). make already returns zeroed memory, so the
+// initial image is laid down without Reset's clear.
 func NewMachine(p *Program, memWords int) *Machine {
 	if memWords <= 0 {
 		memWords = 1 << 22
@@ -88,7 +89,7 @@ func NewMachine(p *Program, memWords int) *Machine {
 		MaxCycles: 200e9,
 		regions:   make([]RegionCounters, p.NumRegions),
 	}
-	m.Reset()
+	m.initState()
 	return m
 }
 
@@ -98,9 +99,13 @@ func (m *Machine) Reset() {
 	if m.OnReset != nil {
 		m.OnReset(m)
 	}
-	for i := range m.Mem {
-		m.Mem[i] = 0
-	}
+	clear(m.Mem)
+	m.initState()
+}
+
+// initState lays the initial image over zeroed memory and resets the heap
+// pointer, registers and frames.
+func (m *Machine) initState() {
 	copy(m.Mem, m.Prog.GlobalInit)
 	m.hp = int64(m.Prog.GlobalWords)
 	m.Regs = [NumRegs]int64{}

@@ -359,3 +359,65 @@ func TestTrapUnwindMatchesExact(t *testing.T) {
 		}
 	}
 }
+
+// resetTestProg has a non-trivial globals image (GlobalWords covers more
+// than GlobalInit sets) so the initial memory image is not all zeros.
+func resetTestProg() *Program {
+	return &Program{
+		Segs:        []*Segment{{Name: "main", Code: []Inst{{Op: RET}}, Region: -1}},
+		FuncIndex:   map[string]int{"main": 0},
+		GlobalInit:  []int64{7, -1, 0, 42, math.MaxInt64},
+		GlobalWords: 9,
+		NumRegions:  2,
+	}
+}
+
+// TestNewMachineMatchesReset: NewMachine skips Reset's memory clear
+// (make already zeroes), so its state must equal what Reset restores on a
+// machine whose memory, heap, registers and frames were all dirtied.
+func TestNewMachineMatchesReset(t *testing.T) {
+	prog := resetTestProg()
+	fresh := NewMachine(prog, 1<<12)
+	m := NewMachine(prog, 1<<12)
+	for i := range m.Mem {
+		m.Mem[i] = int64(i)*3 + 1
+	}
+	if _, err := m.Alloc(100); err != nil {
+		t.Fatal(err)
+	}
+	for i := range m.Regs {
+		m.Regs[i] = int64(-i - 1)
+	}
+	m.frames = append(m.frames, frame{pc: 3})
+	m.Reset()
+	for i := range fresh.Mem {
+		if fresh.Mem[i] != m.Mem[i] {
+			t.Fatalf("Mem[%d]: NewMachine %d, after Reset %d", i, fresh.Mem[i], m.Mem[i])
+		}
+	}
+	if fresh.hp != m.hp || fresh.hp != int64(prog.GlobalWords) {
+		t.Errorf("hp: NewMachine %d, after Reset %d, want %d", fresh.hp, m.hp, prog.GlobalWords)
+	}
+	if fresh.Regs != m.Regs {
+		t.Errorf("Regs: NewMachine %v, after Reset %v", fresh.Regs, m.Regs)
+	}
+	if fresh.Regs[RSP] != int64(len(fresh.Mem)) {
+		t.Errorf("RSP = %d, want %d", fresh.Regs[RSP], len(fresh.Mem))
+	}
+	if len(fresh.frames) != 0 || len(m.frames) != 0 {
+		t.Errorf("frames: NewMachine %d, after Reset %d", len(fresh.frames), len(m.frames))
+	}
+}
+
+// BenchmarkNewMachine creates a machine of a serving tenant's size (64K
+// words, 512 KiB): the per-machine cost a restart pays before its first
+// request.
+func BenchmarkNewMachine(b *testing.B) {
+	prog := resetTestProg()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchMachine = NewMachine(prog, 1<<16)
+	}
+}
+
+var benchMachine *Machine
